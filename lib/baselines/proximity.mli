@@ -15,8 +15,8 @@
 
     Per-node work is independent, so builders accept [?pool] and then
     run chunked over a [Parallel.Pool]: each chunk fills only its own
-    slots of a per-node array, and a sequential merge into the set-based
-    adjacency yields a graph bit-identical to the sequential pass for
+    slots of a per-node array, and a sequential merge into the sorted
+    adjacency rows yields a graph bit-identical to the sequential pass for
     any pool size.
 
     All builders accept [?env] ({!Radio.Env}): with a non-trivial

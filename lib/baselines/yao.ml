@@ -34,7 +34,7 @@ let build ?pool ?env pathloss positions ~k ~candidates_of =
   let n = Array.length positions in
   let sector_width = Geom.Angle.two_pi /. Stdlib.float_of_int k in
   (* selections are per-node-independent: each chunk writes only its own
-     slots, and the final merge into set-based adjacency is
+     slots, and the final merge into sorted adjacency rows is
      order-insensitive, so the graph is the same for any pool size *)
   let selected = Array.make n [] in
   let body lo hi =

@@ -141,32 +141,39 @@ let max_power_graph ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env
       | Some env -> Radio.Env.max_reach env
       | None -> max_reach pathloss
     in
-    (* per-node upper adjacency, then a sequential merge: adjacency sets
-       make insertion order irrelevant, and the per-u lists are written
-       to disjoint slots, so grid, pool and brute paths all build equal
-       graphs *)
+    (* per-node upper adjacency, written to disjoint slots, then one
+       build that sorts every row: grid order is irrelevant, so grid,
+       pool and brute paths all build equal graphs.  As in [collect],
+       the squared prefilter rejects only pairs beyond [reach], and the
+       exact test spells [Pathloss.in_range] inline, float for float *)
+    let pre = (reach *. (1. +. 1e-9)) +. 1e-9 in
+    let pre2 = pre *. pre in
+    let pc = Radio.Pathloss.coeff pathloss in
+    let pe = Radio.Pathloss.exponent pathloss in
+    let cap = Radio.Pathloss.reach_cap ~power:(Radio.Pathloss.max_power pathloss) in
     let nbrs = Array.make n [] in
     for_nodes ?pool n (fun lo hi ->
         for u = lo to hi - 1 do
-          nbrs.(u) <-
-            Geom.Grid.fold_in_range grid positions.(u) ~dist:reach ~init:[]
-              ~f:(fun acc v ->
+          let pu = positions.(u) in
+          let acc = ref [] in
+          Geom.Grid.iter_in_range grid pu ~dist:reach (fun v ->
+              if v > u then begin
+                let pv = positions.(v) in
+                let dx = pv.Geom.Vec2.x -. pu.Geom.Vec2.x
+                and dy = pv.Geom.Vec2.y -. pu.Geom.Vec2.y in
+                let d2 = (dx *. dx) +. (dy *. dy) in
                 if
-                  v > u
+                  d2 <= pre2
                   &&
                   match env with
                   | Some env -> env_in_range env positions u v
-                  | None ->
-                      Radio.Pathloss.in_range pathloss
-                        ~dist:(Geom.Vec2.dist positions.(u) positions.(v))
-                then v :: acc
-                else acc)
+                  | None -> pc *. (sqrt d2 ** pe) <= cap
+                then acc := v :: !acc
+              end);
+          nbrs.(u) <- !acc
         done);
-    let g = Graphkit.Ugraph.create n in
-    Array.iteri
-      (fun u vs -> List.iter (fun v -> Graphkit.Ugraph.add_edge g u v) vs)
-      nbrs;
-    g
+    Graphkit.Ugraph.of_arcs n (fun add ->
+        Array.iteri (fun u vs -> List.iter (add u) vs) nbrs)
   end
 
 (* Walk the power schedule for one node: at each step, move the candidates
@@ -776,7 +783,10 @@ let run ?pool ?obs ?env config pathloss positions =
 module Brute = struct
   let candidates pathloss positions u = candidates pathloss positions u
 
-  let max_power_graph = brute_max_power_graph
+  let max_power_graph ?env pathloss positions =
+    match real_env env with
+    | Some env -> brute_max_power_graph_env env positions
+    | None -> brute_max_power_graph pathloss positions
 
   let run config pathloss positions =
     run_with config pathloss positions

@@ -167,8 +167,10 @@ module Brute : sig
   val candidates :
     Radio.Pathloss.t -> Geom.Vec2.t array -> int -> Neighbor.t list
 
+  (** With a non-trivial [?env], the triangular scan of [G_R^env]. *)
   val max_power_graph :
-    Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
+    ?env:Radio.Env.t -> Radio.Pathloss.t -> Geom.Vec2.t array ->
+    Graphkit.Ugraph.t
 
   val run :
     Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Discovery.t

@@ -148,17 +148,27 @@ let restrict_to_survivors g ~alive =
   r
 
 (* Component partitions agree on the survivors (dead nodes are isolated
-   in both graphs, so they are ignored). *)
+   in both graphs, so they are ignored): the map from a survivor's label
+   in [a] to its label in [b] is a bijection on the survivors' labels.
+   One pass, against the O(n^2) pairwise definition. *)
 let same_partition_on ~alive a b =
   let ca = Graphkit.Traversal.components a in
   let cb = Graphkit.Traversal.components b in
   let n = Array.length ca in
-  let ok = ref true in
-  for u = 0 to n - 1 do
-    if alive.(u) then
-      for v = u + 1 to n - 1 do
-        if alive.(v) && (ca.(u) = ca.(v)) <> (cb.(u) = cb.(v)) then ok := false
-      done
+  if Array.length cb <> n || Array.length alive <> n then
+    invalid_arg "Verify.same_partition_on: node count mismatch";
+  let fwd = Array.make n (-1) and bwd = Array.make n (-1) in
+  let ok = ref true and u = ref 0 in
+  while !ok && !u < n do
+    if alive.(!u) then begin
+      let la = ca.(!u) and lb = cb.(!u) in
+      if fwd.(la) < 0 && bwd.(lb) < 0 then begin
+        fwd.(la) <- lb;
+        bwd.(lb) <- la
+      end
+      else ok := fwd.(la) = lb && bwd.(lb) = la
+    end;
+    incr u
   done;
   !ok
 

@@ -41,6 +41,20 @@ val run :
 val surviving :
   ?complete:bool -> ?env:Radio.Env.t -> alive:bool array -> Discovery.t -> unit
 
+(** [restrict_to_survivors g ~alive] is [g] less every edge with a
+    crashed endpoint ([alive.(u) = false]). *)
+val restrict_to_survivors :
+  Graphkit.Ugraph.t -> alive:bool array -> Graphkit.Ugraph.t
+
+(** [same_partition_on ~alive a b] holds when [a] and [b] induce the same
+    component partition on the survivors: for every pair of survivors
+    [u], [v], they share a component in [a] iff they share one in [b].
+    Checked in one pass as a bijection between the two graphs'
+    component labels on the survivors.
+    @raise Invalid_argument if node counts or [alive] differ in size. *)
+val same_partition_on :
+  alive:bool array -> Graphkit.Ugraph.t -> Graphkit.Ugraph.t -> bool
+
 (** Quantified post-fault degradation of a {!Distributed.run} outcome. *)
 type degradation = {
   survivors : int;  (** nodes alive at quiescence *)

@@ -401,7 +401,11 @@ let discovery t =
     boundary = Array.copy t.boundary;
   }
 
-let topology t = Cbtc.Discovery.closure (discovery t)
+(* Reads the flat rows directly: going through [discovery] would box
+   every row and build a digraph first. *)
+let topology t =
+  Graphkit.Ugraph.of_arcs (nb_nodes t) (fun add ->
+      Array.iteri (fun u ids -> Array.iter (add u) ids) t.nbr_ids)
 
 let digest t =
   let b = Buffer.create (64 * nb_nodes t) in

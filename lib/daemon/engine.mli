@@ -94,7 +94,8 @@ val commit :
 val discovery : t -> Cbtc.Discovery.t
 
 (** [G_alpha] restricted to the tracked state: symmetric closure of the
-    discovered-neighbor relation. *)
+    discovered-neighbor relation, built straight from the flat rows.
+    Equal to [Cbtc.Discovery.closure (discovery t)], edge for edge. *)
 val topology : t -> Graphkit.Ugraph.t
 
 (** MD5 hex over the full tracked state (positions, liveness, powers,

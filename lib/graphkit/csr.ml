@@ -46,9 +46,8 @@ let mem_edge t u v =
   done;
   !found
 
-(* Shared two-pass build: [count] bumps per-node degrees, [fill] writes
-   ids through a cursor array.  Both undirected edges and adjacency-set
-   graphs funnel through this. *)
+(* Two-pass build from an edge list: [count] bumps per-node degrees,
+   [fill] writes ids through a cursor array. *)
 let build n ~count ~fill =
   if n < 0 then invalid_arg "Csr: negative size";
   let off = Array.make (n + 1) 0 in
@@ -94,39 +93,25 @@ let of_edges n edges =
   done;
   { off; adj; nb_edges = List.length edges }
 
+(* Rows of the mutable graphs are already sorted: freezing is one
+   prefix sum over the degrees and one blit per row. *)
+let of_rows n ~degree ~blit ~nb_edges =
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + degree u
+  done;
+  let adj = Array.make off.(n) 0 in
+  for u = 0 to n - 1 do
+    blit u adj off.(u)
+  done;
+  { off; adj; nb_edges }
+
 let of_ugraph g =
-  let n = Ugraph.nb_nodes g in
-  let off, adj =
-    build n
-      ~count:(fun bump ->
-        for u = 0 to n - 1 do
-          for _ = 1 to Ugraph.degree g u do
-            bump u
-          done
-        done)
-      ~fill:(fun put ->
-        for u = 0 to n - 1 do
-          Ugraph.iter_neighbors g u (fun v -> put u v)
-        done)
-  in
-  (* iter_neighbors enumerates increasing, so rows are already sorted *)
-  { off; adj; nb_edges = Ugraph.nb_edges g }
+  of_rows (Ugraph.nb_nodes g) ~degree:(Ugraph.degree g)
+    ~blit:(Ugraph.blit_neighbors g) ~nb_edges:(Ugraph.nb_edges g)
 
 let of_digraph g =
-  let n = Digraph.nb_nodes g in
-  let off, adj =
-    build n
-      ~count:(fun bump ->
-        for u = 0 to n - 1 do
-          for _ = 1 to Digraph.out_degree g u do
-            bump u
-          done
-        done)
-      ~fill:(fun put ->
-        for u = 0 to n - 1 do
-          Digraph.iter_succ g u (fun v -> put u v)
-        done)
-  in
-  { off; adj; nb_edges = Digraph.nb_edges g }
+  of_rows (Digraph.nb_nodes g) ~degree:(Digraph.out_degree g)
+    ~blit:(Digraph.blit_succ g) ~nb_edges:(Digraph.nb_edges g)
 
 let pp ppf t = Fmt.pf ppf "csr(n=%d, m=%d)" (nb_nodes t) (nb_edges t)

@@ -3,17 +3,18 @@
     A graph frozen into two flat [int array]s: [off] of length [n+1]
     and one [adj] array holding every adjacency row back to back, row
     [u] being [adj.(off.(u)) .. adj.(off.(u+1)-1)] in increasing id
-    order.  Traversals stream over contiguous memory instead of walking
-    the per-node balanced sets of {!Ugraph}/{!Digraph}, and
+    order.  Traversals stream over one contiguous array instead of one
+    row array per node as in {!Ugraph}/{!Digraph}, and
     {!iter_neighbors} allocates nothing — unlike [Ugraph.neighbors],
     which builds an [int list] per call.
 
-    This is the read-optimized backend used by BFS/MST/verification on
-    large graphs; the mutable set-based structures remain the build
-    representation.  Conversions preserve the increasing-id enumeration
-    order, so replacing [List.iter ... (Ugraph.neighbors g u)] with
-    [Csr.iter_neighbors] is output-identical (property-tested in
-    [test/test_csr.ml]). *)
+    This is the read-optimized backend used by MST and the adjacency
+    tests; the mutable row-based graphs remain the build
+    representation.  Their rows are already sorted, so {!of_ugraph} and
+    {!of_digraph} are a prefix sum and one blit per row.  Conversions
+    preserve the increasing-id enumeration order, so replacing
+    [List.iter ... (Ugraph.neighbors g u)] with [Csr.iter_neighbors] is
+    output-identical (property-tested in [test/test_csr.ml]). *)
 
 type t
 
@@ -27,7 +28,7 @@ val of_digraph : Digraph.t -> t
 
 (** [of_edges n edges] builds the undirected CSR directly from an edge
     list over nodes [0 .. n-1] in two counting passes, without an
-    intermediate set-based graph.
+    intermediate mutable graph.
     @raise Invalid_argument on out-of-range ids, self-loops, or an edge
     listed twice (in either orientation). *)
 val of_edges : int -> (int * int) list -> t

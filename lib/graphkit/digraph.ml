@@ -1,12 +1,10 @@
-module ISet = Set.Make (Int)
-
-type t = { adj : ISet.t array; mutable nb_edges : int }
+type t = { adj : Rows.t; mutable nb_edges : int }
 
 let create n =
   if n < 0 then invalid_arg "Digraph.create: negative size";
-  { adj = Array.make n ISet.empty; nb_edges = 0 }
+  { adj = Rows.create n; nb_edges = 0 }
 
-let nb_nodes g = Array.length g.adj
+let nb_nodes g = Rows.length g.adj
 
 let nb_edges g = g.nb_edges
 
@@ -16,42 +14,49 @@ let check g u =
 let mem_edge g u v =
   check g u;
   check g v;
-  ISet.mem v g.adj.(u)
+  Rows.mem g.adj u v
 
 let add_edge g u v =
   check g u;
   check g v;
   if u = v then invalid_arg "Digraph.add_edge: self-loop";
-  if not (ISet.mem v g.adj.(u)) then begin
-    g.adj.(u) <- ISet.add v g.adj.(u);
+  if not (Rows.mem g.adj u v) then begin
+    Rows.insert g.adj u v;
     g.nb_edges <- g.nb_edges + 1
   end
 
 let remove_edge g u v =
   check g u;
   check g v;
-  if ISet.mem v g.adj.(u) then begin
-    g.adj.(u) <- ISet.remove v g.adj.(u);
+  if Rows.mem g.adj u v then begin
+    Rows.remove g.adj u v;
     g.nb_edges <- g.nb_edges - 1
   end
 
 let succ g u =
   check g u;
-  ISet.elements g.adj.(u)
+  Rows.to_list g.adj u
 
 let iter_succ g u f =
   check g u;
-  ISet.iter f g.adj.(u)
+  Rows.iter g.adj u f
 
 let fold_succ g u ~init ~f =
   check g u;
-  ISet.fold (fun v acc -> f acc v) g.adj.(u) init
+  Rows.fold g.adj u ~init ~f
+
+let blit_succ g u dst pos =
+  check g u;
+  Rows.blit g.adj u dst pos
 
 let out_degree g u =
   check g u;
-  ISet.cardinal g.adj.(u)
+  Rows.degree g.adj u
 
-let iter_edges f g = Array.iteri (fun u s -> ISet.iter (fun v -> f u v) s) g.adj
+let iter_edges f g =
+  for u = 0 to nb_nodes g - 1 do
+    Rows.iter g.adj u (f u)
+  done
 
 let edges g =
   let acc = ref [] in
@@ -63,13 +68,12 @@ let of_edges n edge_list =
   List.iter (fun (u, v) -> add_edge g u v) edge_list;
   g
 
-let copy g = { adj = Array.copy g.adj; nb_edges = g.nb_edges }
+let copy g = { adj = Rows.copy g.adj; nb_edges = g.nb_edges }
 
 let symmetric_closure g =
-  let u_graph = Ugraph.create (nb_nodes g) in
-  iter_edges (fun u v -> Ugraph.add_edge u_graph u v) g;
-  u_graph
+  Ugraph.of_arcs (nb_nodes g) (fun add -> iter_edges add g)
 
+(* Edges come in (u, v) lexicographic order, so every insert appends. *)
 let symmetric_core g =
   let u_graph = Ugraph.create (nb_nodes g) in
   iter_edges
@@ -80,6 +84,6 @@ let symmetric_core g =
 let equal a b =
   nb_nodes a = nb_nodes b
   && nb_edges a = nb_edges b
-  && Array.for_all2 ISet.equal a.adj b.adj
+  && Rows.for_all_rows a.adj (Rows.subset a.adj b.adj)
 
 let pp ppf g = Fmt.pf ppf "digraph(n=%d, m=%d)" (nb_nodes g) (nb_edges g)

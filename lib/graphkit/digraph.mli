@@ -2,7 +2,13 @@
 
     Used to represent the asymmetric discovered-neighbor relation
     [N_alpha] of the paper: [(u, v)] is an edge when [v] is in [u]'s final
-    discovered-neighbor set. *)
+    discovered-neighbor set.
+
+    Out-neighbors are stored as flat sorted [int] rows, as in {!Ugraph}.
+
+    {b Iteration contract.} The callbacks of {!iter_succ}, {!fold_succ}
+    and {!iter_edges} must not mutate the graph they walk; rows are
+    updated in place.  Mutate a {!copy} instead. *)
 
 type t
 
@@ -34,6 +40,10 @@ val fold_succ : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 
 val out_degree : t -> int -> int
 
+(** [blit_succ g u dst pos] copies [u]'s out-neighbors, in increasing id
+    order, into [dst.(pos) .. dst.(pos + out_degree g u - 1)]. *)
+val blit_succ : t -> int -> int array -> int -> unit
+
 (** [edges g] lists all directed edges, lexicographically. *)
 val edges : t -> (int * int) list
 
@@ -41,6 +51,8 @@ val iter_edges : (int -> int -> unit) -> t -> unit
 
 val of_edges : int -> (int * int) list -> t
 
+(** [copy g] is an independent graph: mutating either leaves the other
+    unchanged. *)
 val copy : t -> t
 
 (** [symmetric_closure g] is the undirected graph whose edge set is the

@@ -1,27 +1,27 @@
-(* BFS over the flat CSR rows: freezing the adjacency once per call is
-   one O(n + m) pass, and the traversal then streams contiguous int
-   segments instead of walking per-node sets.  Enumeration order is
-   increasing id in both representations, so labels and distances are
-   identical to a direct walk of the mutable graph. *)
+(* BFS straight over the graph's sorted rows, with one int array as the
+   queue: every node enters it once.  Enumeration order is increasing
+   id, and labels are numbered by smallest member. *)
 
 let components g =
-  let csr = Csr.of_ugraph g in
-  let n = Csr.nb_nodes csr in
+  let n = Ugraph.nb_nodes g in
   let label = Array.make n (-1) in
+  let queue = Array.make n 0 in
   let next = ref 0 in
-  let queue = Queue.create () in
   for src = 0 to n - 1 do
     if label.(src) < 0 then begin
       let id = !next in
       incr next;
       label.(src) <- id;
-      Queue.add src queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        Csr.iter_neighbors csr u (fun v ->
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        Ugraph.iter_neighbors g u (fun v ->
             if label.(v) < 0 then begin
               label.(v) <- id;
-              Queue.add v queue
+              queue.(!tail) <- v;
+              incr tail
             end)
       done
     end
@@ -49,17 +49,19 @@ let same_partition a b =
 let hop_distances g src =
   let n = Ugraph.nb_nodes g in
   if src < 0 || src >= n then invalid_arg "Traversal.hop_distances";
-  let csr = Csr.of_ugraph g in
   let dist = Array.make n Stdlib.max_int in
   dist.(src) <- 0;
-  let queue = Queue.create () in
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Csr.iter_neighbors csr u (fun v ->
+  let queue = Array.make n 0 in
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    Ugraph.iter_neighbors g u (fun v ->
         if dist.(v) = Stdlib.max_int then begin
           dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
+          queue.(!tail) <- v;
+          incr tail
         end)
   done;
   dist

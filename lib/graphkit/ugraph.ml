@@ -1,12 +1,10 @@
-module ISet = Set.Make (Int)
-
-type t = { adj : ISet.t array; mutable nb_edges : int }
+type t = { adj : Rows.t; mutable nb_edges : int }
 
 let create n =
   if n < 0 then invalid_arg "Ugraph.create: negative size";
-  { adj = Array.make n ISet.empty; nb_edges = 0 }
+  { adj = Rows.create n; nb_edges = 0 }
 
-let nb_nodes g = Array.length g.adj
+let nb_nodes g = Rows.length g.adj
 
 let nb_edges g = g.nb_edges
 
@@ -16,45 +14,51 @@ let check g u =
 let mem_edge g u v =
   check g u;
   check g v;
-  ISet.mem v g.adj.(u)
+  Rows.mem g.adj u v
 
 let add_edge g u v =
   check g u;
   check g v;
   if u = v then invalid_arg "Ugraph.add_edge: self-loop";
-  if not (ISet.mem v g.adj.(u)) then begin
-    g.adj.(u) <- ISet.add v g.adj.(u);
-    g.adj.(v) <- ISet.add u g.adj.(v);
+  if not (Rows.mem g.adj u v) then begin
+    Rows.insert g.adj u v;
+    Rows.insert g.adj v u;
     g.nb_edges <- g.nb_edges + 1
   end
 
 let remove_edge g u v =
   check g u;
   check g v;
-  if ISet.mem v g.adj.(u) then begin
-    g.adj.(u) <- ISet.remove v g.adj.(u);
-    g.adj.(v) <- ISet.remove u g.adj.(v);
+  if Rows.mem g.adj u v then begin
+    Rows.remove g.adj u v;
+    Rows.remove g.adj v u;
     g.nb_edges <- g.nb_edges - 1
   end
 
 let neighbors g u =
   check g u;
-  ISet.elements g.adj.(u)
+  Rows.to_list g.adj u
 
 let iter_neighbors g u f =
   check g u;
-  ISet.iter f g.adj.(u)
+  Rows.iter g.adj u f
 
 let fold_neighbors g u ~init ~f =
   check g u;
-  ISet.fold (fun v acc -> f acc v) g.adj.(u) init
+  Rows.fold g.adj u ~init ~f
+
+let blit_neighbors g u dst pos =
+  check g u;
+  Rows.blit g.adj u dst pos
 
 let degree g u =
   check g u;
-  ISet.cardinal g.adj.(u)
+  Rows.degree g.adj u
 
 let iter_edges f g =
-  Array.iteri (fun u s -> ISet.iter (fun v -> if u < v then f u v) s) g.adj
+  for u = 0 to nb_nodes g - 1 do
+    Rows.iter g.adj u (fun v -> if u < v then f u v)
+  done
 
 let edges g =
   let acc = ref [] in
@@ -66,16 +70,24 @@ let of_edges n edge_list =
   List.iter (fun (u, v) -> add_edge g u v) edge_list;
   g
 
-let copy g = { adj = Array.copy g.adj; nb_edges = g.nb_edges }
+let of_arcs n arcs =
+  let g = create n in
+  let adj =
+    Rows.of_arcs n (fun put ->
+        arcs (fun u v ->
+            check g u;
+            check g v;
+            if u = v then invalid_arg "Ugraph.of_arcs: self-loop";
+            put u v))
+  in
+  { adj; nb_edges = Rows.total_degree adj / 2 }
+
+let copy g = { adj = Rows.copy g.adj; nb_edges = g.nb_edges }
 
 let is_subgraph a b =
-  nb_nodes a = nb_nodes b
-  &&
-  let ok = ref true in
-  iter_edges (fun u v -> if not (mem_edge b u v) then ok := false) a;
-  !ok
+  nb_nodes a = nb_nodes b && Rows.for_all_rows a.adj (Rows.subset a.adj b.adj)
 
-let equal a b = is_subgraph a b && is_subgraph b a
+let equal a b = nb_edges a = nb_edges b && is_subgraph a b
 
 let pp ppf g =
   Fmt.pf ppf "ugraph(n=%d, m=%d)" (nb_nodes g) (nb_edges g)

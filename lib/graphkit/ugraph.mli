@@ -2,7 +2,17 @@
 
     The topologies produced by CBTC and its optimizations ([G_alpha],
     [Gs_alpha], [G-_alpha], the pairwise-reduced graph) are values of
-    this type. *)
+    this type.
+
+    Each node's adjacency is a flat sorted [int] row with spare capacity,
+    so membership is a binary search and inserting an id past the last
+    one is an append: a builder that adds edges in [(u, v)]
+    lexicographic order never shifts a row.
+
+    {b Iteration contract.} The callbacks of {!iter_neighbors},
+    {!fold_neighbors} and {!iter_edges} must not mutate the graph they
+    walk; rows are updated in place, so the walk would see a mix of old
+    and new entries.  Mutate a {!copy} instead. *)
 
 type t
 
@@ -40,8 +50,23 @@ val edges : t -> (int * int) list
 
 val iter_edges : (int -> int -> unit) -> t -> unit
 
+(** [blit_neighbors g u dst pos] copies [u]'s neighbors, in increasing
+    id order, into [dst.(pos) .. dst.(pos + degree g u - 1)]. *)
+val blit_neighbors : t -> int -> int array -> int -> unit
+
 val of_edges : int -> (int * int) list -> t
 
+(** [of_arcs n arcs] is the graph on [n] nodes whose edges are the pairs
+    [arcs add] passes to [add], in either orientation; a pair may come
+    several times.  [arcs] is called twice (once to size the rows, once
+    to fill them) and must enumerate the same pairs both times.  Rows
+    are filled unsorted, then each is sorted once, so no insert ever
+    shifts a row, whatever the enumeration order.
+    @raise Invalid_argument on an out-of-range id or a self-loop. *)
+val of_arcs : int -> ((int -> int -> unit) -> unit) -> t
+
+(** [copy g] is an independent graph: mutating either leaves the other
+    unchanged. *)
 val copy : t -> t
 
 (** [is_subgraph a b] holds when every edge of [a] is an edge of [b]

@@ -148,7 +148,8 @@ let test_source_churn_to_events () =
 (* ------------------------------------------------------------------ *)
 (* Engine                                                             *)
 
-let run_stream_through_engine ~watchdog_frac sc ~seed ~epochs =
+let run_stream_through_engine ?pool ?(on_epoch = fun _ _ -> ()) ~watchdog_frac
+    sc ~seed ~epochs =
   let pl = Workload.Scenario.pathloss sc in
   let positions = Workload.Scenario.positions sc in
   let prng = Prng.create ~seed in
@@ -162,14 +163,15 @@ let run_stream_through_engine ~watchdog_frac sc ~seed ~epochs =
     Daemon.Source.create ~seed ~field:sc.Workload.Scenario.field
       ~params:Workload.Mobility.default_params ~move_rate:30. ~churn positions
   in
-  let eng = Daemon.Engine.create ~watchdog_frac config pl positions in
+  let eng = Daemon.Engine.create ?pool ~watchdog_frac config pl positions in
   for ep = 1 to epochs do
     let events = Daemon.Source.tick src ~until:(float_of_int ep) in
     List.iter (Daemon.Engine.apply eng) events;
-    ignore (Daemon.Engine.commit eng);
-    match Daemon.Engine.check_full_equivalence eng with
+    ignore (Daemon.Engine.commit ?pool eng);
+    (match Daemon.Engine.check_full_equivalence ?pool eng with
     | Ok () -> ()
-    | Error m -> Alcotest.failf "epoch %d: incremental /= full: %s" ep m
+    | Error m -> Alcotest.failf "epoch %d: incremental /= full: %s" ep m);
+    on_epoch ep eng
   done;
   eng
 
@@ -377,6 +379,45 @@ let equivalence_prop =
       in
       Daemon.Engine.check_full_equivalence eng = Ok ())
 
+(* [Engine.topology] builds the closure from the flat rows; the boxed
+   path through [Discovery.closure] is its oracle, every epoch of a
+   crash-and-recover stream, sequential and on two domains. *)
+let topology_prop =
+  QCheck.Test.make ~count:15
+    ~name:"topology = Discovery.closure at -j 1 and -j 2"
+    QCheck.(pair small_int (int_range 2 8))
+    (fun (seed, epochs) ->
+      let sc = scenario ~n:40 (2000 + seed) in
+      List.for_all
+        (fun jobs ->
+          Parallel.Pool.with_pool ~jobs (fun pool ->
+              let ok = ref true in
+              let on_epoch _ eng =
+                let fast = Daemon.Engine.topology eng in
+                let oracle =
+                  Cbtc.Discovery.closure (Daemon.Engine.discovery eng)
+                in
+                ok :=
+                  !ok
+                  && Graphkit.Ugraph.edges fast = Graphkit.Ugraph.edges oracle
+                  && Graphkit.Ugraph.nb_edges fast
+                     = Graphkit.Ugraph.nb_edges oracle
+              in
+              let eng =
+                run_stream_through_engine ~pool ~on_epoch ~watchdog_frac:0.3 sc
+                  ~seed ~epochs
+              in
+              (* the stream did crash nodes, and they hold no edges *)
+              let n = Daemon.Engine.nb_nodes eng in
+              let topo = Daemon.Engine.topology eng in
+              !ok
+              && List.for_all
+                   (fun u ->
+                     Daemon.Engine.alive eng u
+                     || Graphkit.Ugraph.degree topo u = 0)
+                   (List.init n Fun.id)))
+        [ 1; 2 ])
+
 let () =
   Alcotest.run "daemon"
     [
@@ -408,6 +449,7 @@ let () =
           Alcotest.test_case "grid lifecycle under drift" `Quick
             test_engine_grid_lifecycle;
           QCheck_alcotest.to_alcotest equivalence_prop;
+          QCheck_alcotest.to_alcotest topology_prop;
         ] );
       ( "driver",
         [

@@ -295,6 +295,28 @@ let prop_env_pool_identical =
               soa_eq seq (Cbtc.Geo.run_flat ~pool ~env config pl positions)))
         [ 2; 4 ])
 
+(* G_R on the grid, sequential and on a pool, against the triangular
+   brute scan: pure pathloss and under a sigma > 0 environment. *)
+let prop_max_power_graph_pool_brute =
+  QCheck.Test.make ~count:30
+    ~name:"max_power_graph -j 1/-j 2 = brute, sigma = 0 and sigma > 0"
+    (QCheck.make
+       QCheck.Gen.(
+         positions_gen >>= fun positions ->
+         env_gen (Array.length positions) >|= fun env -> (positions, env)))
+    (fun (positions, env) ->
+      List.for_all
+        (fun env ->
+          let brute = Cbtc.Geo.Brute.max_power_graph ?env pl positions in
+          let same g =
+            Graphkit.Ugraph.edges g = Graphkit.Ugraph.edges brute
+            && Graphkit.Ugraph.nb_edges g = Graphkit.Ugraph.nb_edges brute
+          in
+          same (Cbtc.Geo.max_power_graph ~cutoff:0 ?env pl positions)
+          && Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+                 same (Cbtc.Geo.max_power_graph ~pool ?env pl positions)))
+        [ None; Some env ])
+
 (* The daemon under a non-trivial env: incremental regrowth must still
    equal a full recompute (the probe radius and dirty cut are env-aware,
    and link symmetry keeps discovery well-defined). *)
@@ -430,6 +452,7 @@ let () =
           [
             prop_env_run_flat_matches_run;
             prop_env_pool_identical;
+            prop_max_power_graph_pool_brute;
             prop_env_engine_equivalence;
           ] );
       ( "unit",

@@ -526,6 +526,54 @@ let test_reconfig_recover_rejoins () =
        ~reference:(Cbtc.Geo.max_power_graph pl positions)
        (Cbtc.Reconfig.topology rc))
 
+(* [Verify.same_partition_on] checks a label bijection in one pass; the
+   definition it replaces compares every pair of survivors. *)
+let same_partition_pairwise ~alive a b =
+  let ca = Graphkit.Traversal.components a in
+  let cb = Graphkit.Traversal.components b in
+  let n = Array.length ca in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    if alive.(u) then
+      for v = u + 1 to n - 1 do
+        if alive.(v) && (ca.(u) = ca.(v)) <> (cb.(u) = cb.(v)) then ok := false
+      done
+  done;
+  !ok
+
+let prop_same_partition_on_pairwise =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 16 >>= fun n ->
+      let edges =
+        list_size (int_range 0 (2 * n))
+          (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+      in
+      quad (return n) edges edges (array_size (return n) (frequencyl [ (3, true); (1, false) ])))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"same_partition_on = pairwise definition"
+    (QCheck.make gen)
+    (fun (n, ea, eb, alive) ->
+      let graph es =
+        Graphkit.Ugraph.of_edges n (List.filter (fun (u, v) -> u <> v) es)
+      in
+      let a = graph ea in
+      (* b: a with a few edges moved, so equal partitions come up too *)
+      let b = Graphkit.Ugraph.copy a in
+      List.iteri
+        (fun i (u, v) ->
+          if u <> v then
+            if i mod 2 = 0 then Graphkit.Ugraph.add_edge b u v
+            else Graphkit.Ugraph.remove_edge b u v)
+        (List.filteri (fun i _ -> i < 3) eb);
+      let c = graph eb in
+      List.for_all
+        (fun (x, y) ->
+          Cbtc.Verify.same_partition_on ~alive x y
+          = same_partition_pairwise ~alive x y)
+        [ (a, b); (b, a); (a, c); (a, a) ])
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -578,7 +626,8 @@ let () =
             test_surviving_rejects_dead_neighbor;
           Alcotest.test_case "degradation of a clean run" `Quick
             test_degradation_clean_run;
-        ] );
+        ]
+        @ qsuite [ prop_same_partition_on_pairwise ] );
       ( "reconfig",
         [
           Alcotest.test_case "recover rejoins" `Quick

@@ -1,5 +1,5 @@
 (* Tests for the geometry substrate: vectors, circular angles, arc
-   coverage, the gap test, cones, and circle intersection. *)
+   coverage, the gap test, cones, and convex hulls. *)
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
@@ -262,36 +262,6 @@ let test_cone_invalid () =
       ignore
         (Geom.Cone.make ~apex:Geom.Vec2.zero ~alpha:1. ~toward:Geom.Vec2.zero))
 
-(* ---------- Circle ---------- *)
-
-let test_circle_contains () =
-  let c = Geom.Circle.make ~center:(Geom.Vec2.make 1. 1.) ~radius:2. in
-  Alcotest.(check bool) "inside" true (Geom.Circle.contains c (Geom.Vec2.make 2. 2.));
-  Alcotest.(check bool) "boundary" true (Geom.Circle.contains c (Geom.Vec2.make 3. 1.));
-  Alcotest.(check bool) "outside" false (Geom.Circle.contains c (Geom.Vec2.make 4. 1.));
-  Alcotest.(check bool) "on_boundary" true
-    (Geom.Circle.on_boundary c (Geom.Vec2.make 3. 1.))
-
-let test_circle_intersect_two_points () =
-  (* Unit circles at distance 1: intersections at x=1/2, y=±sqrt(3)/2. *)
-  let a = Geom.Circle.make ~center:Geom.Vec2.zero ~radius:1. in
-  let b = Geom.Circle.make ~center:(Geom.Vec2.make 1. 0.) ~radius:1. in
-  match Geom.Circle.intersect a b with
-  | [ p; q ] ->
-      check_float ~eps:1e-9 "p.x" 0.5 p.Geom.Vec2.x;
-      check_float ~eps:1e-9 "q.x" 0.5 q.Geom.Vec2.x;
-      check_float ~eps:1e-9 "p.y" (sqrt 3. /. 2.) (Float.abs p.Geom.Vec2.y);
-      Alcotest.(check bool) "opposite sides" true
-        (p.Geom.Vec2.y *. q.Geom.Vec2.y < 0.)
-  | other -> Alcotest.failf "expected 2 points, got %d" (List.length other)
-
-let test_circle_intersect_edge_cases () =
-  let c r x = Geom.Circle.make ~center:(Geom.Vec2.make x 0.) ~radius:r in
-  Alcotest.(check int) "disjoint" 0 (List.length (Geom.Circle.intersect (c 1. 0.) (c 1. 5.)));
-  Alcotest.(check int) "concentric" 0 (List.length (Geom.Circle.intersect (c 1. 0.) (c 2. 0.)));
-  Alcotest.(check int) "tangent" 1 (List.length (Geom.Circle.intersect (c 1. 0.) (c 1. 2.)));
-  Alcotest.(check int) "identical" 0 (List.length (Geom.Circle.intersect (c 1. 0.) (c 1. 0.)))
-
 (* ---------- Hull ---------- *)
 
 let test_hull_square () =
@@ -382,22 +352,6 @@ let prop_cover_contains_dirs =
     (fun dirs ->
       let cover = Geom.Dirset.cover ~alpha:0.8 dirs in
       List.for_all (fun d -> Geom.Arcset.contains_angle cover d) dirs)
-
-let prop_circle_intersections_on_both =
-  QCheck.Test.make ~count:200 ~name:"circle intersections lie on both circles"
-    QCheck.(
-      make
-        Gen.(
-          tup4 (float_bound_exclusive 10.) (float_bound_exclusive 10.)
-            (float_range 0.1 5.) (float_range 0.1 5.)))
-    (fun (x, y, r1, r2) ->
-      let a = Geom.Circle.make ~center:Geom.Vec2.zero ~radius:r1 in
-      let b = Geom.Circle.make ~center:(Geom.Vec2.make x y) ~radius:r2 in
-      List.for_all
-        (fun p ->
-          Geom.Circle.on_boundary ~eps:1e-6 a p
-          && Geom.Circle.on_boundary ~eps:1e-6 b p)
-        (Geom.Circle.intersect a b))
 
 let prop_hull_contains_all =
   QCheck.Test.make ~count:100 ~name:"every input point lies inside its hull"
@@ -520,12 +474,6 @@ let () =
           Alcotest.test_case "membership" `Quick test_cone_membership;
           Alcotest.test_case "invalid" `Quick test_cone_invalid;
         ] );
-      ( "circle",
-        [
-          Alcotest.test_case "contains" `Quick test_circle_contains;
-          Alcotest.test_case "two intersections" `Quick test_circle_intersect_two_points;
-          Alcotest.test_case "edge cases" `Quick test_circle_intersect_edge_cases;
-        ] );
       ( "hull",
         [
           Alcotest.test_case "square" `Quick test_hull_square;
@@ -540,7 +488,6 @@ let () =
             prop_gap_antitone_in_dirs;
             prop_cover_duality;
             prop_cover_contains_dirs;
-            prop_circle_intersections_on_both;
             prop_hull_contains_all;
             prop_angle_normalize_range;
             prop_max_gap_matches_brute_oracle;

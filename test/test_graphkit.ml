@@ -293,6 +293,417 @@ let prop_closure_contains_core =
       let g = D.of_edges n edge_list in
       U.is_subgraph (D.symmetric_core g) (D.symmetric_closure g))
 
+(* ---------- model-based differential tests ---------- *)
+
+(* The reference model: the persistent-set graphs the row-based ones
+   replaced, kept verbatim as the oracle. *)
+module ISet = Set.Make (Int)
+
+module Model_u = struct
+  type t = { adj : ISet.t array; mutable nb_edges : int }
+
+  let create n = { adj = Array.make n ISet.empty; nb_edges = 0 }
+  let nb_nodes g = Array.length g.adj
+  let nb_edges g = g.nb_edges
+
+  let check g u =
+    if u < 0 || u >= nb_nodes g then invalid_arg "Ugraph: node out of range"
+
+  let mem_edge g u v =
+    check g u;
+    check g v;
+    ISet.mem v g.adj.(u)
+
+  let add_edge g u v =
+    check g u;
+    check g v;
+    if u = v then invalid_arg "Ugraph.add_edge: self-loop";
+    if not (ISet.mem v g.adj.(u)) then begin
+      g.adj.(u) <- ISet.add v g.adj.(u);
+      g.adj.(v) <- ISet.add u g.adj.(v);
+      g.nb_edges <- g.nb_edges + 1
+    end
+
+  let remove_edge g u v =
+    check g u;
+    check g v;
+    if ISet.mem v g.adj.(u) then begin
+      g.adj.(u) <- ISet.remove v g.adj.(u);
+      g.adj.(v) <- ISet.remove u g.adj.(v);
+      g.nb_edges <- g.nb_edges - 1
+    end
+
+  let row g u =
+    check g u;
+    ISet.elements g.adj.(u)
+
+  let iter_row g u f =
+    check g u;
+    ISet.iter f g.adj.(u)
+
+  let fold_row g u ~init ~f =
+    check g u;
+    ISet.fold (fun v acc -> f acc v) g.adj.(u) init
+
+  let degree g u =
+    check g u;
+    ISet.cardinal g.adj.(u)
+
+  let iter_edges f g =
+    Array.iteri (fun u s -> ISet.iter (fun v -> if u < v then f u v) s) g.adj
+
+  let edges g =
+    let acc = ref [] in
+    iter_edges (fun u v -> acc := (u, v) :: !acc) g;
+    List.rev !acc
+
+  let copy g = { adj = Array.copy g.adj; nb_edges = g.nb_edges }
+
+  let is_subgraph a b =
+    nb_nodes a = nb_nodes b
+    &&
+    let ok = ref true in
+    iter_edges (fun u v -> if not (mem_edge b u v) then ok := false) a;
+    !ok
+
+  let equal a b = is_subgraph a b && is_subgraph b a
+end
+
+module Model_d = struct
+  type t = { adj : ISet.t array; mutable nb_edges : int }
+
+  let create n = { adj = Array.make n ISet.empty; nb_edges = 0 }
+  let nb_nodes g = Array.length g.adj
+  let nb_edges g = g.nb_edges
+
+  let check g u =
+    if u < 0 || u >= nb_nodes g then invalid_arg "Digraph: node out of range"
+
+  let mem_edge g u v =
+    check g u;
+    check g v;
+    ISet.mem v g.adj.(u)
+
+  let add_edge g u v =
+    check g u;
+    check g v;
+    if u = v then invalid_arg "Digraph.add_edge: self-loop";
+    if not (ISet.mem v g.adj.(u)) then begin
+      g.adj.(u) <- ISet.add v g.adj.(u);
+      g.nb_edges <- g.nb_edges + 1
+    end
+
+  let remove_edge g u v =
+    check g u;
+    check g v;
+    if ISet.mem v g.adj.(u) then begin
+      g.adj.(u) <- ISet.remove v g.adj.(u);
+      g.nb_edges <- g.nb_edges - 1
+    end
+
+  let row g u =
+    check g u;
+    ISet.elements g.adj.(u)
+
+  let iter_row g u f =
+    check g u;
+    ISet.iter f g.adj.(u)
+
+  let fold_row g u ~init ~f =
+    check g u;
+    ISet.fold (fun v acc -> f acc v) g.adj.(u) init
+
+  let degree g u =
+    check g u;
+    ISet.cardinal g.adj.(u)
+
+  let iter_edges f g = Array.iteri (fun u s -> ISet.iter (fun v -> f u v) s) g.adj
+
+  let edges g =
+    let acc = ref [] in
+    iter_edges (fun u v -> acc := (u, v) :: !acc) g;
+    List.rev !acc
+
+  let copy g = { adj = Array.copy g.adj; nb_edges = g.nb_edges }
+
+  let symmetric_closure g =
+    let u_graph = Model_u.create (nb_nodes g) in
+    iter_edges (fun u v -> Model_u.add_edge u_graph u v) g;
+    u_graph
+
+  let symmetric_core g =
+    let u_graph = Model_u.create (nb_nodes g) in
+    iter_edges
+      (fun u v -> if u < v && mem_edge g v u then Model_u.add_edge u_graph u v)
+      g;
+    u_graph
+
+  let equal a b =
+    nb_nodes a = nb_nodes b
+    && nb_edges a = nb_edges b
+    && Array.for_all2 ISet.equal a.adj b.adj
+end
+
+(* What both implementations expose, under one set of names. *)
+module type GRAPH = sig
+  type t
+
+  val create : int -> t
+  val nb_edges : t -> int
+  val add_edge : t -> int -> int -> unit
+  val remove_edge : t -> int -> int -> unit
+  val mem_edge : t -> int -> int -> bool
+  val degree : t -> int -> int
+  val row : t -> int -> int list
+  val iter_row : t -> int -> (int -> unit) -> unit
+  val fold_row : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
+  val edges : t -> (int * int) list
+  val iter_edges : (int -> int -> unit) -> t -> unit
+  val copy : t -> t
+  val equal : t -> t -> bool
+end
+
+module Ug : GRAPH with type t = U.t = struct
+  include U
+
+  let row = U.neighbors
+  let iter_row = U.iter_neighbors
+  let fold_row = U.fold_neighbors
+end
+
+module Dg : GRAPH with type t = D.t = struct
+  include D
+
+  let degree = D.out_degree
+  let row = D.succ
+  let iter_row = D.iter_succ
+  let fold_row = D.fold_succ
+end
+
+type op =
+  | Add of int * int
+  | Remove of int * int
+  | Mem of int * int
+  | Degree of int
+  | Row of int
+  | Copy_mutate of int * int  (** toggle the edge on a copy *)
+
+let pp_op = function
+  | Add (u, v) -> Printf.sprintf "add %d %d" u v
+  | Remove (u, v) -> Printf.sprintf "remove %d %d" u v
+  | Mem (u, v) -> Printf.sprintf "mem %d %d" u v
+  | Degree u -> Printf.sprintf "degree %d" u
+  | Row u -> Printf.sprintf "row %d" u
+  | Copy_mutate (u, v) -> Printf.sprintf "copy-toggle %d %d" u v
+
+(* Small node counts make duplicate adds and removes of present edges
+   common; one id in twenty is out of range, and u = v gives self-loops. *)
+let ops_gen =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun n ->
+    let id = frequency [ (19, int_range 0 (n - 1)); (1, oneofl [ -1; n ]) ] in
+    let pr = pair id id in
+    list_size (int_range 0 80)
+      (frequency
+         [
+           (6, map (fun (u, v) -> Add (u, v)) pr);
+           (3, map (fun (u, v) -> Remove (u, v)) pr);
+           (2, map (fun (u, v) -> Mem (u, v)) pr);
+           (1, map (fun u -> Degree u) id);
+           (1, map (fun u -> Row u) id);
+           (1, map (fun (u, v) -> Copy_mutate (u, v)) pr);
+         ])
+    >|= fun ops -> (n, ops))
+
+let ops_arb =
+  QCheck.make ops_gen ~print:(fun (n, ops) ->
+      Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map pp_op ops)))
+
+(* Outcomes compared literally, [Invalid_argument] messages included. *)
+let attempt f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
+
+module Diff (I : GRAPH) (M : GRAPH) = struct
+  let same_state g m =
+    I.nb_edges g = M.nb_edges m
+    && I.edges g = M.edges m
+    &&
+    let walk iter x =
+      let acc = ref [] in
+      iter (fun u v -> acc := (u, v) :: !acc) x;
+      List.rev !acc
+    in
+    walk I.iter_edges g = walk M.iter_edges m
+
+  let toggle add remove mem x u v =
+    attempt (fun () -> if mem x u v then remove x u v else add x u v)
+
+  (* One step on both sides: same outcome, same resulting state. *)
+  let step g m op =
+    let same a b = attempt a = attempt b in
+    (match op with
+    | Add (u, v) -> same (fun () -> I.add_edge g u v) (fun () -> M.add_edge m u v)
+    | Remove (u, v) ->
+        same (fun () -> I.remove_edge g u v) (fun () -> M.remove_edge m u v)
+    | Mem (u, v) -> same (fun () -> I.mem_edge g u v) (fun () -> M.mem_edge m u v)
+    | Degree u -> same (fun () -> I.degree g u) (fun () -> M.degree m u)
+    | Row u -> same (fun () -> I.row g u) (fun () -> M.row m u)
+    | Copy_mutate (u, v) ->
+        let gc = I.copy g and mc = M.copy m in
+        toggle I.add_edge I.remove_edge I.mem_edge gc u v
+        = toggle M.add_edge M.remove_edge M.mem_edge mc u v
+        && same_state gc mc
+        && I.equal gc g = M.equal mc m)
+    && same_state g m
+
+  let run (n, ops) =
+    let g = I.create n and m = M.create n in
+    List.for_all (step g m) ops
+    && List.for_all
+         (fun u ->
+           let walked =
+             let acc = ref [] in
+             I.iter_row g u (fun v -> acc := v :: !acc);
+             List.rev !acc
+           in
+           let row = M.row m u in
+           I.row g u = row && walked = row
+           && List.rev (I.fold_row g u ~init:[] ~f:(fun l v -> v :: l)) = row
+           && I.degree g u = M.degree m u)
+         (List.init n Fun.id)
+    && I.equal g (I.copy g)
+    && (* drop the first edge from a copy: the original must not see it *)
+    match I.edges g with
+    | [] -> true
+    | (u, v) :: _ ->
+        let gc = I.copy g and mc = M.copy m in
+        I.remove_edge gc u v;
+        M.remove_edge mc u v;
+        I.equal g gc = M.equal m mc
+        && I.mem_edge g u v && same_state g m && same_state gc mc
+end
+
+module Diff_u = Diff (Ug) (Model_u)
+module Diff_d = Diff (Dg) (Model_d)
+
+(* Replays [ops] on both sides, ignoring rejected operations. *)
+let replay (type g m) (module I : GRAPH with type t = g)
+    (module M : GRAPH with type t = m) (n, ops) =
+  let g = I.create n and m = M.create n in
+  List.iter
+    (function
+      | Add (u, v) ->
+          ignore (attempt (fun () -> I.add_edge g u v));
+          ignore (attempt (fun () -> M.add_edge m u v))
+      | Remove (u, v) ->
+          ignore (attempt (fun () -> I.remove_edge g u v));
+          ignore (attempt (fun () -> M.remove_edge m u v))
+      | _ -> ())
+    ops;
+  (g, m)
+
+let prop_ugraph_model =
+  QCheck.Test.make ~count:500 ~name:"Ugraph = set-based model on random ops"
+    ops_arb Diff_u.run
+
+let prop_digraph_model =
+  QCheck.Test.make ~count:500 ~name:"Digraph = set-based model on random ops"
+    ops_arb Diff_d.run
+
+let prop_ugraph_subgraph_model =
+  QCheck.Test.make ~count:300 ~name:"Ugraph equal/is_subgraph = model"
+    (QCheck.pair ops_arb ops_arb)
+    (fun ((n, ops), (_, ops')) ->
+      (* ids of [ops'] out of range for [n] are rejected and skipped *)
+      let g, m = replay (module Ug) (module Model_u) (n, ops) in
+      let h, mh = replay (module Ug) (module Model_u) (n, ops') in
+      (* h2 = g plus a few edges, so subgraph answers are not all false *)
+      let h2, mh2 = (U.copy g, Model_u.copy m) in
+      List.iter
+        (function
+          | Add (u, v) ->
+              ignore (attempt (fun () -> U.add_edge h2 u v));
+              ignore (attempt (fun () -> Model_u.add_edge mh2 u v))
+          | _ -> ())
+        ops';
+      List.for_all
+        (fun (a, b, ma, mb) ->
+          U.is_subgraph a b = Model_u.is_subgraph ma mb
+          && U.equal a b = Model_u.equal ma mb)
+        [ (g, h, m, mh); (h, g, mh, m); (g, h2, m, mh2); (h2, g, mh2, m); (g, g, m, m) ])
+
+let prop_digraph_closure_core_model =
+  QCheck.Test.make ~count:300
+    ~name:"Digraph closure/core and CSR freezes = model"
+    ops_arb
+    (fun (n, ops) ->
+      let g, m = replay (module Dg) (module Model_d) (n, ops) in
+      let closure = D.symmetric_closure g and core = D.symmetric_core g in
+      let csr_rows csr = List.init n (Graphkit.Csr.neighbors csr) in
+      U.edges closure = Model_u.edges (Model_d.symmetric_closure m)
+      && U.nb_edges closure = Model_u.nb_edges (Model_d.symmetric_closure m)
+      && U.edges core = Model_u.edges (Model_d.symmetric_core m)
+      && U.nb_edges core = Model_u.nb_edges (Model_d.symmetric_core m)
+      && csr_rows (Graphkit.Csr.of_digraph g) = List.init n (Model_d.row m)
+      && Graphkit.Csr.nb_edges (Graphkit.Csr.of_digraph g) = Model_d.nb_edges m
+      && csr_rows (Graphkit.Csr.of_ugraph closure)
+         = List.init n (Model_u.row (Model_d.symmetric_closure m))
+      && Graphkit.Csr.nb_edges (Graphkit.Csr.of_ugraph closure)
+         = U.nb_edges closure)
+
+let prop_of_arcs_model =
+  QCheck.Test.make ~count:300 ~name:"Ugraph.of_arcs = add_edge on the model"
+    (QCheck.make random_graph_gen)
+    (fun (n, arcs) ->
+      (* every arc twice, once reversed: duplicates must collapse *)
+      let g =
+        U.of_arcs n (fun add ->
+            List.iter (fun (u, v) -> add u v; add v u) arcs)
+      in
+      let m = Model_u.create n in
+      List.iter (fun (u, v) -> Model_u.add_edge m u v) arcs;
+      U.edges g = Model_u.edges m
+      && U.nb_edges g = Model_u.nb_edges m
+      && List.for_all
+           (fun u -> U.neighbors g u = Model_u.row m u)
+           (List.init n Fun.id))
+
+let test_rejects () =
+  let g = U.create 3 and d = D.create 3 in
+  let raises name msg f = Alcotest.check_raises name (Invalid_argument msg) f in
+  raises "ugraph self-loop" "Ugraph.add_edge: self-loop" (fun () -> U.add_edge g 2 2);
+  raises "ugraph negative" "Ugraph: node out of range" (fun () -> U.add_edge g (-1) 0);
+  raises "ugraph past end" "Ugraph: node out of range" (fun () -> ignore (U.mem_edge g 0 3));
+  raises "ugraph remove" "Ugraph: node out of range" (fun () -> U.remove_edge g 3 0);
+  raises "ugraph row" "Ugraph: node out of range" (fun () -> ignore (U.neighbors g 3));
+  raises "ugraph degree" "Ugraph: node out of range" (fun () -> ignore (U.degree g (-1)));
+  raises "of_arcs self-loop" "Ugraph.of_arcs: self-loop" (fun () ->
+      ignore (U.of_arcs 3 (fun add -> add 1 1)));
+  raises "of_arcs range" "Ugraph: node out of range" (fun () ->
+      ignore (U.of_arcs 3 (fun add -> add 0 3)));
+  raises "digraph self-loop" "Digraph.add_edge: self-loop" (fun () -> D.add_edge d 0 0);
+  raises "digraph range" "Digraph: node out of range" (fun () -> D.add_edge d 0 5);
+  raises "digraph succ" "Digraph: node out of range" (fun () -> ignore (D.succ d (-2)));
+  Alcotest.(check int) "nothing added" 0 (U.nb_edges g + D.nb_edges d)
+
+(* [Optimize.pairwise] removes edges from a copy of its input: rows are
+   mutable, so the copy must not share them. *)
+let test_copy_is_deep () =
+  let g = U.of_edges 5 [ (0, 1); (0, 2); (1, 2); (3, 4) ] in
+  let before = U.edges g in
+  let h = U.copy g in
+  U.remove_edge h 0 1;
+  U.add_edge h 0 3;
+  U.add_edge h 2 4;
+  Alcotest.(check (list (pair int int))) "ugraph original unchanged" before (U.edges g);
+  Alcotest.(check int) "ugraph original count" 4 (U.nb_edges g);
+  Alcotest.(check (list int)) "ugraph original row" [ 1; 2 ] (U.neighbors g 0);
+  let d = D.of_edges 3 [ (0, 1); (1, 2) ] in
+  let e = D.copy d in
+  D.remove_edge e 0 1;
+  D.add_edge e 0 2;
+  Alcotest.(check (list (pair int int))) "digraph original unchanged"
+    [ (0, 1); (1, 2) ] (D.edges d)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -304,6 +715,8 @@ let () =
           Alcotest.test_case "edge listing" `Quick test_ugraph_edges_listing;
           Alcotest.test_case "errors" `Quick test_ugraph_errors;
           Alcotest.test_case "subgraph and copy" `Quick test_ugraph_subgraph_copy;
+          Alcotest.test_case "copy is deep" `Quick test_copy_is_deep;
+          Alcotest.test_case "rejects self-loops and bad ids" `Quick test_rejects;
         ] );
       ( "digraph",
         [
@@ -350,5 +763,14 @@ let () =
             prop_dijkstra_unit_weights_is_bfs;
             prop_mst_preserves_partition;
             prop_closure_contains_core;
+          ] );
+      ( "model",
+        qsuite
+          [
+            prop_ugraph_model;
+            prop_digraph_model;
+            prop_ugraph_subgraph_model;
+            prop_digraph_closure_core_model;
+            prop_of_arcs_model;
           ] );
     ]

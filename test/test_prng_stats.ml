@@ -181,25 +181,6 @@ let test_summary_invalid () =
     (Invalid_argument "Summary.percentile: out of range") (fun () ->
       ignore (Stats.Summary.percentile [| 1. |] 150.))
 
-(* ---------- Histogram ---------- *)
-
-let test_histogram_binning () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.; 1.; 2.5; 9.99; -1.; 10.; 15. ];
-  Alcotest.(check int) "count" 7 (Stats.Histogram.count h);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Stats.Histogram.overflow h);
-  Alcotest.(check (array int)) "buckets" [| 2; 1; 0; 0; 1 |] (Stats.Histogram.counts h);
-  let lo, hi = Stats.Histogram.bucket_bounds h 1 in
-  check_float "bounds lo" 2. lo;
-  check_float "bounds hi" 4. hi
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "empty range" (Invalid_argument "Histogram.create: empty range")
-    (fun () -> ignore (Stats.Histogram.create ~lo:1. ~hi:1. ~bins:3));
-  Alcotest.check_raises "bins" (Invalid_argument "Histogram.create: non-positive bins")
-    (fun () -> ignore (Stats.Histogram.create ~lo:0. ~hi:1. ~bins:0))
-
 (* ---------- Ci ---------- *)
 
 let test_ci_quantiles () =
@@ -303,11 +284,6 @@ let () =
           Alcotest.test_case "percentile interpolation" `Quick test_summary_percentile_interp;
           Alcotest.test_case "empty" `Quick test_summary_empty;
           Alcotest.test_case "invalid" `Quick test_summary_invalid;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "invalid" `Quick test_histogram_invalid;
         ] );
       ( "ci",
         [

@@ -61,44 +61,17 @@ val run_flat :
   ?env:Radio.Env.t ->
   Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Soa.t
 
-(** [candidates ?grid ?alive pathloss positions u] lists the nodes
-    physically within range [R] of [u] (its [G_R] neighbors) as
-    {!Neighbor.t} values with true link powers and directions, sorted by
-    increasing link power; tags are set to the link power.  When [grid]
-    (an index built over exactly [positions]) is given, only nearby
-    cells are probed; otherwise all positions are scanned.  [alive]
-    (default: everyone) filters the candidate set — crashed nodes are
-    invisible to discovery. *)
-val candidates :
-  ?grid:Geom.Grid.t ->
-  ?alive:(int -> bool) ->
-  ?env:Radio.Env.t ->
-  Radio.Pathloss.t -> Geom.Vec2.t array -> int -> Neighbor.t list
-
-(** [grow_one ?grid ?alive config pathloss positions u] is [u]'s
-    converged per-node state — (discovered neighbors sorted by link
-    power, final power, boundary flag) — against the candidates passing
-    [alive]: exactly the per-node body of {!run}.  Discovery is a pure
-    function of the live positions within range of [u], which is what
-    makes incremental dirty-node regrowth (lib/daemon) provably
-    equivalent to a full recompute. *)
-val grow_one :
-  ?grid:Geom.Grid.t ->
-  ?alive:(int -> bool) ->
-  ?env:Radio.Env.t ->
-  Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> int ->
-  Neighbor.t list * float * bool
-
 (** {2 Flat per-node kernel}
 
-    The allocation-free counterpart of {!grow_one}, for callers that
-    re-grow single nodes at high rates (the daemon's incremental
-    engine).  A {!scratch} owns reusable Bigarray-backed buffers; one
-    [grow_into] call leaves the discovered rows resident in it, read
-    back through the [row_*] accessors.  Results are bit-identical to
-    {!grow_one} — same candidate math, same (link power, id) order,
-    same gap test — pinned by the differential properties in
-    test/test_csr.ml. *)
+    One node's discovery, for callers that re-grow single nodes at high
+    rates (the daemon's incremental engine).  It is the per-node body of
+    {!run_flat}: a pure function of the live positions within range of
+    the node, which is what makes incremental dirty-node regrowth
+    provably equivalent to a full recompute.  A {!scratch} owns reusable
+    Bigarray-backed buffers; one [grow_into] call leaves the discovered
+    rows resident in it, read back through the [row_*] accessors.
+    Results are bit-identical to {!Brute.grow_one}, pinned by the
+    differential properties in test/test_csr.ml and test/test_env.ml. *)
 
 (** Reusable per-worker scratch buffers.  Not thread-safe: use one per
     domain. *)
@@ -127,10 +100,15 @@ val schedule_final : schedule -> float
 
 (** [grow_into ?grid ?alive ~schedule s config pathloss positions u]
     grows node [u] to convergence and returns
-    [(degree, final power, boundary)].  The [degree] discovered
+    [(degree, final power, boundary)] against the candidates passing
+    [alive] (default: everyone; crashed nodes are invisible to
+    discovery).  [grid] must be an index built over exactly [positions];
+    without it all positions are scanned.  The [degree] discovered
     neighbors are left in [s], sorted by increasing (link power, id) —
     read row [r < degree] with the accessors below before the next
-    [grow_into] on [s] overwrites them. *)
+    [grow_into] on [s] overwrites them.
+
+    @raise Invalid_argument if [u] is not a node of [positions]. *)
 val grow_into :
   ?grid:Geom.Grid.t ->
   ?alive:(int -> bool) ->
@@ -160,18 +138,44 @@ val max_power_graph :
   ?env:Radio.Env.t ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
 
-(** Brute-force O(n²) reference implementations, producing identical
-    results to the grid-backed functions above.  Used by the property
-    tests and as the baseline of the [perf] benchmark. *)
+(** Brute-force O(n²) reference: no grid, deliberately naive.  Every
+    pair goes through one candidate test, with the link power (pathloss
+    or [?env]) chosen once per call; candidates are {!Neighbor.t} lists
+    and the power walk rebuilds lists per step.  Its results are
+    identical to the flat kernel's (property-tested), and it shares no
+    probe, sort or direction-set code with it.  Used by the differential
+    tests, as the baseline of the [perf] benchmark, and by
+    {!max_power_graph} below its size cutoff. *)
 module Brute : sig
+  (** [candidates ?alive ?env pathloss positions u] lists [u]'s [G_R]
+      neighbors passing [alive] (default: everyone), with true link
+      powers and directions, sorted by increasing (link power, id);
+      tags are set to the link power.
+      @raise Invalid_argument if [u] is not a node of [positions]. *)
   val candidates :
+    ?alive:(int -> bool) ->
+    ?env:Radio.Env.t ->
     Radio.Pathloss.t -> Geom.Vec2.t array -> int -> Neighbor.t list
 
-  (** With a non-trivial [?env], the triangular scan of [G_R^env]. *)
+  (** [grow_one ?alive ?env config pathloss positions u] is [u]'s
+      converged state — (discovered neighbors sorted by (link power,
+      id), final power, boundary flag) — against the candidates passing
+      [alive]: the reference for {!grow_into}.
+      @raise Invalid_argument if [u] is not a node of [positions]. *)
+  val grow_one :
+    ?alive:(int -> bool) ->
+    ?env:Radio.Env.t ->
+    Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> int ->
+    Neighbor.t list * float * bool
+
+  (** [grow_one] for every node: the reference for {!run}. *)
+  val run :
+    ?env:Radio.Env.t ->
+    Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Discovery.t
+
+  (** The triangular scan of [G_R] ([G_R^env] under a non-trivial
+      [?env]). *)
   val max_power_graph :
     ?env:Radio.Env.t -> Radio.Pathloss.t -> Geom.Vec2.t array ->
     Graphkit.Ugraph.t
-
-  val run :
-    Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Discovery.t
 end

@@ -12,7 +12,7 @@
     [Neighbor.t] list element costs ~seven words plus pointer chasing.
     {!Geo.run_flat} produces this type; {!to_discovery} converts to the
     list-of-records form, and the conversion is pinned bit-identical to
-    the list-based pipeline by the differential tests. *)
+    the list-based {!Geo.Brute} reference by the differential tests. *)
 
 type t = {
   config : Config.t;
@@ -41,6 +41,6 @@ val iter_neighbors :
   unit
 
 (** [to_discovery t] expands the rows into per-node [Neighbor.t] lists;
-    the result is bit-identical to what the list-based oracle returns
-    for the same inputs. *)
+    the result is bit-identical to what {!Geo.Brute.run} returns for
+    the same inputs. *)
 val to_discovery : t -> Discovery.t

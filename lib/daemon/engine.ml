@@ -13,8 +13,8 @@
    The engine is built for sustained streams over n = 10⁵–10⁶ nodes:
 
    - Regrowth runs through the flat SoA kernel ([Cbtc.Geo.grow_into],
-     bit-identical to [grow_one]) with a reusable scratch per worker —
-     no Neighbor.t lists, no per-step list rebuilding.
+     bit-identical to [Cbtc.Geo.Brute.grow_one]) with a reusable scratch
+     per worker — no Neighbor.t lists, no per-step list rebuilding.
    - Cone state is flat: powers in a float64 Bigarray, each node's
      neighbors as one int row plus one float row of (link, dir, tag)
      triples.  Positions stay in the kernel's [Vec2.t array] layout —
@@ -278,7 +278,7 @@ let mark t u =
    above only ever consults clean nodes' powers). *)
 (* [u] is the disturbed node and [p] the position of its disturbance
    (old or new); under an env the link power is the env's — computed
-   with the kernel's own spelling (collect_env's sqrt-of-squares dist
+   with the kernel's own spelling ([Geo.collect]'s sqrt-of-squares dist
    into [Radio.Env.link_power], whose excess is symmetric in the pair),
    so the cut stays exact, not tolerance-based, in both models. *)
 let mark_around t u p =
@@ -427,54 +427,55 @@ let digest t =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The central invariant: tracked state == from-scratch recompute over
-   the tracked world.  The reference pass is the *list* kernel
-   ([Cbtc.Geo.grow_one]) against a *fresh* grid, so it cross-checks both
-   the incremental index against a clean build and the flat regrowth
-   kernel against the list path.  Float-exact comparison is intentional
-   — both sides run the identical per-node float computation on
-   identical inputs. *)
+   the tracked world.  The reference pass regrows every live node with
+   the flat kernel against a *fresh* grid, a fresh schedule and fresh
+   scratch, so it cross-checks the incremental index (moves, joins,
+   leaves, compactions) against a clean build and the dirty-propagation
+   cut against regrowing everyone.  The kernel itself is pinned against
+   the independent [Cbtc.Geo.Brute] reference by the differential
+   suites (test/test_csr.ml, test/test_env.ml).  Float-exact comparison
+   is intentional — both sides run the identical per-node float
+   computation on identical inputs. *)
 let check_full_equivalence ?pool t =
   let grid = Geom.Grid.create ~range:(Radio.Pathloss.max_range t.pathloss) t.positions in
+  let schedule = Cbtc.Geo.schedule_of t.config t.pathloss in
   let alive_fn v = t.alive.(v) in
   let n = nb_nodes t in
   let bad = Array.make n None in
-  let check u =
+  let check s u =
     if t.alive.(u) then begin
-      let nbs, p, b =
-        Cbtc.Geo.grow_one ~grid ~alive:alive_fn ?env:t.env t.config t.pathloss
-          t.positions u
+      let k, p, b =
+        Cbtc.Geo.grow_into ~grid ~alive:alive_fn ?env:t.env ~schedule s
+          t.config t.pathloss t.positions u
       in
-      let nb_eq (nb : Cbtc.Neighbor.t) r =
-        nb.id = t.nbr_ids.(u).(r)
-        && nb.link_power = t.nbr_data.(u).(3 * r)
-        && nb.dir = t.nbr_data.(u).((3 * r) + 1)
-        && nb.tag = t.nbr_data.(u).((3 * r) + 2)
+      let ids = t.nbr_ids.(u) and data = t.nbr_data.(u) in
+      let row_eq r =
+        Cbtc.Geo.row_id s r = ids.(r)
+        && Cbtc.Geo.row_link s r = data.(3 * r)
+        && Cbtc.Geo.row_dir s r = data.((3 * r) + 1)
+        && Cbtc.Geo.row_tag s r = data.((3 * r) + 2)
       in
-      let rec rows_eq r = function
-        | [] -> r = Array.length t.nbr_ids.(u)
-        | nb :: rest -> r < Array.length t.nbr_ids.(u) && nb_eq nb r && rows_eq (r + 1) rest
-      in
+      let rec rows_from r = r = k || (row_eq r && rows_from (r + 1)) in
       if p <> fget t.power u then
         bad.(u) <- Some (Printf.sprintf "node %d: power %.17g, full recompute %.17g" u (fget t.power u) p)
       else if b <> t.boundary.(u) then
         bad.(u) <- Some (Printf.sprintf "node %d: boundary %b, full recompute %b" u t.boundary.(u) b)
-      else if not (rows_eq 0 nbs) then
+      else if k <> Array.length ids || not (rows_from 0) then
         bad.(u) <- Some (Printf.sprintf "node %d: neighbor sets differ" u)
     end
     else if
       t.nbr_ids.(u) <> [||] || fget t.power u <> 0. || t.boundary.(u)
     then bad.(u) <- Some (Printf.sprintf "node %d: dead but has residual state" u)
   in
+  let check_range lo hi =
+    let s = Cbtc.Geo.scratch_create () in
+    for u = lo to hi - 1 do
+      check s u
+    done
+  in
   (match pool with
-  | None ->
-      for u = 0 to n - 1 do
-        check u
-      done
-  | Some pool ->
-      Parallel.Pool.iter_chunks pool n (fun lo hi ->
-          for u = lo to hi - 1 do
-            check u
-          done));
+  | None -> check_range 0 n
+  | Some pool -> Parallel.Pool.iter_chunks pool n check_range);
   match Array.find_map (fun x -> x) bad with
   | None -> Ok ()
   | Some m -> Error m

@@ -1,13 +1,23 @@
 let sort_directions dirs =
   List.sort_uniq Float.compare (List.map Angle.normalize dirs)
 
+(* The gap from the largest direction [last] around to the smallest
+   [first].  With two or more sorted-unique directions in [0, 2pi) it is
+   in (0, 2pi]; but when they all lie within half an ulp of 2pi of each
+   other, [first - last + 2pi] rounds to 2pi and [normalize] folds it to
+   0 — the nearly-collinear set would then read as covering the circle.
+   An exact 0 arises only that way, and stands for the whole circle. *)
+let wrap_gap last first =
+  let g = Angle.ccw_delta last first in
+  if g = 0. then Angle.two_pi else g
+
 let gaps_of_sorted sorted =
   match sorted with
   | [] -> []
   | first :: _ ->
       let rec consecutive acc = function
         | [] -> List.rev acc
-        | [ last ] -> List.rev ((last, Angle.ccw_delta last first) :: acc)
+        | [ last ] -> List.rev ((last, wrap_gap last first) :: acc)
         | a :: (b :: _ as rest) -> consecutive ((a, b -. a) :: acc) rest
       in
       consecutive [] sorted
@@ -40,12 +50,12 @@ let has_gap ?(eps = 1e-9) ~alpha dirs = max_gap dirs >= alpha -. eps
 (* Array variants over an already sorted-unique prefix [dirs.(0..len-1)]
    of normalized directions, for callers that maintain the set
    incrementally (the SoA discovery core).  Same float operations as the
-   list path above — consecutive [b -. a] plus the [ccw_delta] wrap — so
+   list path above — consecutive [b -. a] plus [wrap_gap] — so
    the results are bit-identical. *)
 let max_gap_sorted dirs len =
   if len <= 1 then Angle.two_pi
   else begin
-    let best = ref (Angle.ccw_delta dirs.(len - 1) dirs.(0)) in
+    let best = ref (wrap_gap dirs.(len - 1) dirs.(0)) in
     for i = 0 to len - 2 do
       let g = dirs.(i + 1) -. dirs.(i) in
       if g > !best then best := g
@@ -63,7 +73,7 @@ let max_gap_ba (dirs : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray
   if len <= 1 then Angle.two_pi
   else begin
     let get = Bigarray.Array1.unsafe_get dirs in
-    let best = ref (Angle.ccw_delta (get (len - 1)) (get 0)) in
+    let best = ref (wrap_gap (get (len - 1)) (get 0)) in
     for i = 0 to len - 2 do
       let g = get (i + 1) -. get i in
       if g > !best then best := g

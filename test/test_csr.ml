@@ -317,14 +317,14 @@ let prop_grid_edits_match_fresh_rebuild =
       done;
       !ok)
 
-(* ---------- flat per-node kernel = grow_one, bit-exact ---------- *)
+(* ---------- flat per-node kernel = Brute.grow_one, bit-exact ---------- *)
 
-let prop_grow_into_matches_grow_one =
-  (* the daemon's allocation-free regrow path against the list-based
-     per-node oracle: same candidates (grid + alive mask), same power
-     walk, same rows — float-for-float *)
+let prop_grow_into_matches_brute =
+  (* the daemon's allocation-free regrow path (grid + alive mask)
+     against the naive per-node reference (full scan, same mask): same
+     candidates, same power walk, same rows — float-for-float *)
   QCheck.Test.make ~count:100
-    ~name:"Geo.grow_into = Geo.grow_one (grid + alive mask), bit-exact"
+    ~name:"Geo.grow_into = Geo.Brute.grow_one (grid + alive mask), bit-exact"
     (QCheck.make
        QCheck.Gen.(triple positions_gen growth_gen (int_range 0 1000)))
     (fun (positions, growth, seed) ->
@@ -341,7 +341,7 @@ let prop_grow_into_matches_grow_one =
       for u = 0 to n - 1 do
         if alive_mask.(u) then begin
           let nbrs, power, boundary =
-            Cbtc.Geo.grow_one ~grid ~alive config pl positions u
+            Cbtc.Geo.Brute.grow_one ~alive config pl positions u
           in
           let k, power', boundary' =
             Cbtc.Geo.grow_into ~grid ~alive ~schedule scratch config pl
@@ -362,6 +362,19 @@ let prop_grow_into_matches_grow_one =
         end
       done;
       !ok)
+
+let test_grow_into_out_of_range () =
+  let positions = [| v2 0. 0.; v2 10. 0.; v2 0. 10. |] in
+  let config = Cbtc.Config.make alpha56 in
+  let schedule = Cbtc.Geo.schedule_of config pl in
+  let scratch = Cbtc.Geo.scratch_create () in
+  List.iter
+    (fun u ->
+      Alcotest.check_raises (Fmt.str "u = %d" u)
+        (Invalid_argument "Geo.grow_into: node out of range") (fun () ->
+          ignore
+            (Cbtc.Geo.grow_into ~schedule scratch config pl positions u)))
+    [ Array.length positions; -1 ]
 
 (* ---------- occupancy: one linear pass, sorted descending ---------- *)
 
@@ -451,7 +464,9 @@ let () =
                prop_grid_move_after_build;
                prop_grid_edits_match_fresh_rebuild;
              ] );
-      ("flat kernel", qsuite [ prop_grow_into_matches_grow_one ]);
+      ( "flat kernel",
+        Alcotest.test_case "node out of range" `Quick test_grow_into_out_of_range
+        :: qsuite [ prop_grow_into_matches_brute ] );
       ( "occupancy",
         Alcotest.test_case "sorted descending" `Quick
           test_occupancy_sorted_descending

@@ -193,6 +193,35 @@ let test_engine_equivalence_watchdog () =
   Alcotest.(check bool) "watchdog tripped" true
     ((Daemon.Engine.stats eng).Daemon.Engine.full_recomputes > 0)
 
+let test_engine_equivalence_catches_stale () =
+  (* state that [apply] has invalidated but [commit] has not regrown
+     must fail the check: move a node that sits in another node's
+     discovered row, so that row's link power and direction go stale *)
+  let sc = scenario 16 in
+  let pl = Workload.Scenario.pathloss sc in
+  let positions = Workload.Scenario.positions sc in
+  let eng = Daemon.Engine.create ~watchdog_frac:1.5 config pl positions in
+  let d = Daemon.Engine.discovery eng in
+  let u =
+    match Array.find_opt (fun nbs -> nbs <> []) d.Cbtc.Discovery.neighbors with
+    | Some (nb :: _) -> nb.Cbtc.Neighbor.id
+    | _ -> Alcotest.fail "scenario has no discovered link"
+  in
+  let check_ok label expected =
+    Alcotest.(check bool) label expected
+      (Result.is_ok (Daemon.Engine.check_full_equivalence eng))
+  in
+  check_ok "fresh engine passes" true;
+  Daemon.Engine.apply eng
+    {
+      Daemon.Event.time = 1.;
+      node = u;
+      kind = Daemon.Event.Move (Geom.Vec2.add positions.(u) (Geom.Vec2.make 3. 2.));
+    };
+  check_ok "applied but uncommitted move fails" false;
+  ignore (Daemon.Engine.commit eng);
+  check_ok "committed move passes" true
+
 let test_engine_verify_survivors () =
   let eng =
     run_stream_through_engine ~watchdog_frac:0.25 (scenario 15) ~seed:55
@@ -450,6 +479,8 @@ let () =
             test_engine_grid_lifecycle;
           QCheck_alcotest.to_alcotest equivalence_prop;
           QCheck_alcotest.to_alcotest topology_prop;
+          Alcotest.test_case "equivalence catches stale state" `Quick
+            test_engine_equivalence_catches_stale;
         ] );
       ( "driver",
         [

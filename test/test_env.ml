@@ -29,11 +29,11 @@ let growth_gen =
       Cbtc.Config.Mult { p0 = 100.; factor = 3. } ]
 
 (* A non-trivial environment over the 300x300 test field: shadowing plus
-   a couple of obstacle discs plus height loss, all derived from one
-   seed so properties shrink well. *)
-let env_gen n =
+   a couple of obstacle discs (at least [min_obstacles]) plus height
+   loss, all derived from one seed so properties shrink well. *)
+let env_gen ?(min_obstacles = 0) n =
   QCheck.Gen.(
-    triple (float_range 0.5 8.) (int_range 0 1000) (int_range 0 3)
+    triple (float_range 0.5 8.) (int_range 0 1000) (int_range min_obstacles 3)
     >>= fun (sigma, shadow_seed, nobs) ->
     list_repeat nobs
       (triple
@@ -278,6 +278,59 @@ let prop_env_run_flat_matches_run =
         (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat ~env config pl positions))
         (Cbtc.Geo.run ~env config pl positions))
 
+(* ---------- sigma > 0: flat kernel = naive reference ---------- *)
+
+(* Environments with shadowing and at least one obstacle disc, so the
+   per-pair link power differs from pathloss for some pairs. *)
+let env_case_gen =
+  QCheck.Gen.(
+    triple positions_gen growth_gen (int_range 0 1000)
+    >>= fun (positions, growth, seed) ->
+    env_gen ~min_obstacles:1 (Array.length positions) >|= fun env ->
+    (positions, growth, seed, env))
+
+let prop_env_run_flat_matches_brute =
+  QCheck.Test.make ~count:60
+    ~name:"sigma > 0: Soa.to_discovery (run_flat ~env) = Brute.run ~env"
+    (QCheck.make env_case_gen)
+    (fun (positions, growth, _, env) ->
+      let config = Cbtc.Config.make ~growth alpha56 in
+      discovery_eq
+        (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat ~env config pl positions))
+        (Cbtc.Geo.Brute.run ~env config pl positions))
+
+let prop_env_grow_into_matches_brute =
+  QCheck.Test.make ~count:60
+    ~name:"sigma > 0: grow_into ~env ~alive = Brute.grow_one ~env ~alive"
+    (QCheck.make env_case_gen)
+    (fun (positions, growth, seed, env) ->
+      let n = Array.length positions in
+      let config = Cbtc.Config.make ~growth alpha56 in
+      let prng = Prng.create ~seed in
+      let alive_mask = Array.init n (fun _ -> Prng.int prng 4 > 0) in
+      let alive v = alive_mask.(v) in
+      let grid = Geom.Grid.create ~range:(Radio.Pathloss.max_range pl) positions in
+      let schedule = Cbtc.Geo.schedule_of config pl in
+      let scratch = Cbtc.Geo.scratch_create () in
+      List.for_all
+        (fun u ->
+          let nbrs, power, boundary =
+            Cbtc.Geo.Brute.grow_one ~alive ~env config pl positions u
+          in
+          let k, power', boundary' =
+            Cbtc.Geo.grow_into ~grid ~alive ~env ~schedule scratch config pl
+              positions u
+          in
+          k = List.length nbrs && power = power' && boundary = boundary'
+          && List.for_all2
+               (fun r (nb : Cbtc.Neighbor.t) ->
+                 Cbtc.Geo.row_id scratch r = nb.id
+                 && Cbtc.Geo.row_link scratch r = nb.link_power
+                 && Cbtc.Geo.row_dir scratch r = nb.dir
+                 && Cbtc.Geo.row_tag scratch r = nb.tag)
+               (List.init k Fun.id) nbrs)
+        (List.filter alive (List.init n Fun.id)))
+
 let prop_env_pool_identical =
   QCheck.Test.make ~count:30
     ~name:"sigma > 0: run_flat sequential = -j 2 = -j 4, array-exact"
@@ -451,6 +504,8 @@ let () =
         qsuite
           [
             prop_env_run_flat_matches_run;
+            prop_env_run_flat_matches_brute;
+            prop_env_grow_into_matches_brute;
             prop_env_pool_identical;
             prop_max_power_graph_pool_brute;
             prop_env_engine_equivalence;

@@ -170,6 +170,25 @@ let test_gap_pi_seam () =
   check_float "gap with a neighbor exactly at -pi" (3. *. pi /. 2.)
     (Geom.Dirset.max_gap [ pi /. 2.; Geom.Angle.normalize (-.pi) ])
 
+let test_gap_wrap_rounding () =
+  (* two distinct directions an ulp apart: the wrap gap first - last +
+     2pi rounds to 2pi, which [normalize] folds to 0 — it must still
+     read as (nearly) the whole circle in every representation *)
+  let x = 2.144395102393195 in
+  let dirs = [| x; Float.succ x |] in
+  let ba = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout dirs in
+  List.iter
+    (fun (name, gap) ->
+      Alcotest.(check bool) (name ^ " is the whole circle") true
+        (gap > two_pi -. 1e-9))
+    [
+      ("max_gap", Geom.Dirset.max_gap (Array.to_list dirs));
+      ("max_gap_sorted", Geom.Dirset.max_gap_sorted dirs 2);
+      ("max_gap_ba", Geom.Dirset.max_gap_ba ba 2);
+    ];
+  Alcotest.(check bool) "has_gap" true
+    (Geom.Dirset.has_gap ~alpha:Geom.Angle.five_pi_six (Array.to_list dirs))
+
 let test_covers_circle_gap_duality () =
   let dirs = [ 0.; 2.; 4. ] in
   List.iter
@@ -458,6 +477,7 @@ let () =
           Alcotest.test_case "exact pi/6 and pi/3 multiples" `Quick
             test_gap_exact_pi_multiples;
           Alcotest.test_case "pi seam" `Quick test_gap_pi_seam;
+          Alcotest.test_case "wrap gap rounding" `Quick test_gap_wrap_rounding;
           Alcotest.test_case "cover duality" `Quick test_covers_circle_gap_duality;
         ] );
       ( "arcset",

@@ -175,21 +175,6 @@ let discovery_eq (a : Cbtc.Discovery.t) (b : Cbtc.Discovery.t) =
   && Array.for_all2 (List.equal neighbor_eq) a.neighbors b.neighbors
   && a.power = b.power && a.boundary = b.boundary
 
-let prop_candidates_identical =
-  QCheck.Test.make ~count:100 ~name:"Geo.candidates: grid = brute, bit-exact"
-    (QCheck.make positions_gen)
-    (fun positions ->
-      let grid =
-        Geom.Grid.create ~range:(Radio.Pathloss.max_range pl) positions
-      in
-      let ok = ref true in
-      for u = 0 to Array.length positions - 1 do
-        let g = Cbtc.Geo.candidates ~grid pl positions u in
-        let b = Cbtc.Geo.Brute.candidates pl positions u in
-        if not (List.equal neighbor_eq g b) then ok := false
-      done;
-      !ok)
-
 let growth_gen =
   QCheck.Gen.oneofl
     [ Cbtc.Config.Exact; Cbtc.Config.Double 25.;
@@ -399,7 +384,6 @@ let () =
       ( "grid = brute",
         qsuite
           [
-            prop_candidates_identical;
             prop_discovery_identical;
             prop_max_power_graph_identical;
             prop_proximity_identical;

@@ -9,13 +9,18 @@
    - Figure 6 (one network rendered under eight configurations, as SVG);
    plus connectivity sweeps, ablations of our own, Bechamel
    microbenchmarks of the computational kernels, and a spatial-grid vs
-   brute-force scaling comparison (writes <out>/perf.json), and the
-   streaming-daemon capacity study (writes <out>/daemon.json).
+   brute-force scaling comparison (writes <out>/perf.json), the
+   streaming-daemon capacity study (<out>/daemon.json), the shadowing
+   threshold sweep (<out>/shadowing.json), the lifetime study
+   (<out>/lifetime.json) and the domain-pool scaling check
+   (<out>/parallel.json).  Every artifact is written by
+   [write_artifact] and checked by test/validate_bench.exe KIND.
 
    Usage: main.exe [--seeds N] [--fast] [--out DIR] [-j N]
                    [--trace-out FILE] [--metrics-out FILE] [section ...]
    Sections: table1 figures figure6 connectivity ablations extensions
-   series perf parallel daemon (default: all of them).
+   series perf parallel daemon shadowing lifetime (default: all of
+   them).
 
    [--trace-out] / [--metrics-out] enable the observability layer with a
    wall clock (this is a timing harness, so spans carry durations and the
@@ -816,14 +821,35 @@ let time_pair ?(inner = 1) ~reps fa fb =
   done;
   (!best_a, !best_b)
 
-type perf_row = {
-  bench : string;
-  n : int;
-  grid_s : float;
-  brute_s : float option;
-  peak_rss_kb : int option;  (* process VmHWM after the bench; None off-Linux *)
-  alloc_mb : float;  (* Gc.allocated_bytes over one dedicated run *)
-}
+(* Every <out>/*.json artifact is one envelope — {"schema", ["unit",]
+   "note", [header fields,] "results": [row, ...]}, one row per line —
+   checked by test/validate_bench.exe KIND. *)
+let write_artifact path ~schema ?unit ?(header = []) ~note rows =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      let field (k, v) =
+        Printf.fprintf oc "  %s: %s,\n"
+          (Obs.Jsonl.to_string (Obs.Jsonl.Str k))
+          (Obs.Jsonl.to_string v)
+      in
+      output_string oc "{\n";
+      field ("schema", Obs.Jsonl.Int schema);
+      Option.iter (fun u -> field ("unit", Obs.Jsonl.Str u)) unit;
+      field ("note", Obs.Jsonl.Str note);
+      List.iter field header;
+      output_string oc "  \"results\": [\n";
+      let last = List.length rows - 1 in
+      List.iteri
+        (fun i row ->
+          output_string oc "    ";
+          output_string oc (Obs.Jsonl.to_string row);
+          output_string oc (if i = last then "\n" else ",\n"))
+        rows;
+      output_string oc "  ]\n}\n")
+
+(* [x] as the float a reader parses from its [%.*f] rendering. *)
+let fixed digits x =
+  Obs.Jsonl.Float (float_of_string (Printf.sprintf "%.*f" digits x))
 
 let brute_coverage positions ~radius =
   (* inline reference for Metrics.Interference.coverage; computes the same
@@ -843,46 +869,6 @@ let brute_coverage positions ~radius =
   let max_c = Array.fold_left Stdlib.max 0 covered in
   let total = Array.fold_left ( + ) 0 covered in
   (max_c, total)
-
-let perf_json_write path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 2,\n  \"unit\": \"seconds\",\n";
-      output_string oc
-        "  \"note\": \"best-of-reps wall clock; constant-density fields \
-         (avg degree ~25.6); brute_s null when the brute-force run was \
-         skipped as too slow; peak_rss_kb is the process VmHWM sampled \
-         after the bench (monotone across rows: a row inherits the peak \
-         of everything before it); allocations_mb is Gc.allocated_bytes \
-         over one dedicated run of the grid/CSR side\",\n";
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i r ->
-          let speedup =
-            match r.brute_s with
-            | Some b when r.grid_s > 0. ->
-                Fmt.str "%.2f" (b /. r.grid_s)
-            | _ -> "null"
-          in
-          let brute =
-            match r.brute_s with
-            | Some b -> Fmt.str "%.6f" b
-            | None -> "null"
-          in
-          let rss =
-            match r.peak_rss_kb with
-            | Some kb -> string_of_int kb
-            | None -> "null"
-          in
-          output_string oc
-            (Fmt.str
-               "    {\"bench\": %S, \"n\": %d, \"brute_s\": %s, \"grid_s\": \
-                %.6f, \"speedup\": %s, \"peak_rss_kb\": %s, \
-                \"allocations_mb\": %.3f}%s\n"
-               r.bench r.n brute r.grid_s speedup rss r.alloc_mb
-               (if i = List.length rows - 1 then "" else ",")))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run_perf_scaling ~fast ~out_dir =
   section "Spatial grid vs brute force (wall clock, constant density)";
@@ -910,7 +896,25 @@ let run_perf_scaling ~fast ~out_dir =
     ignore (Sys.opaque_identity (grid ()));
     let alloc_mb = (Gc.allocated_bytes () -. a0) /. (1024. *. 1024.) in
     let peak_rss_kb = Obs.Rss.peak_rss_kb () in
-    rows := { bench; n; grid_s; brute_s; peak_rss_kb; alloc_mb } :: !rows;
+    rows :=
+      Obs.Jsonl.Obj
+        [
+          ("bench", Obs.Jsonl.Str bench);
+          ("n", Obs.Jsonl.Int n);
+          ( "brute_s",
+            match brute_s with Some b -> fixed 6 b | None -> Obs.Jsonl.Null );
+          ("grid_s", fixed 6 grid_s);
+          ( "speedup",
+            match brute_s with
+            | Some b when grid_s > 0. -> fixed 2 (b /. grid_s)
+            | _ -> Obs.Jsonl.Null );
+          ( "peak_rss_kb",
+            match peak_rss_kb with
+            | Some kb -> Obs.Jsonl.Int kb
+            | None -> Obs.Jsonl.Null );
+          ("allocations_mb", fixed 3 alloc_mb);
+        ]
+      :: !rows;
     Metrics.Table.add_row table
       [
         bench;
@@ -979,7 +983,15 @@ let run_perf_scaling ~fast ~out_dir =
   end;
   Fmt.pr "%a@." Metrics.Table.pp table;
   let path = Filename.concat out_dir "perf.json" in
-  perf_json_write path (List.rev !rows);
+  write_artifact path ~schema:2 ~unit:"seconds"
+    ~note:
+      "best-of-reps wall clock; constant-density fields (avg degree \
+       ~25.6); brute_s null when the brute-force run was skipped as too \
+       slow; peak_rss_kb is the process VmHWM sampled after the bench \
+       (monotone across rows: a row inherits the peak of everything \
+       before it); allocations_mb is Gc.allocated_bytes over one \
+       dedicated run of the grid/CSR side"
+    (List.rev !rows);
   Fmt.pr "wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -994,27 +1006,6 @@ let run_perf_scaling ~fast ~out_dir =
    path must dominate.  wall_s covers the whole run including the
    initial from-scratch grow and the final verification pass, so
    events_per_s is an end-to-end figure, not a steady-state one. *)
-
-let daemon_json_write path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 2,\n";
-      output_string oc
-        "  \"note\": \"end-to-end daemon streams at constant density \
-         (avg degree ~25.6); wall_s includes the initial grow and the \
-         final verification; incremental_fraction is the share of \
-         working commits served without a full recompute; peak_rss_kb \
-         is the process VmHWM sampled after the row (monotone across \
-         rows); allocations_mb is Gc.allocated_bytes over the row's \
-         run\",\n";
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i row ->
-          output_string oc "    ";
-          output_string oc (Obs.Jsonl.to_string row);
-          output_string oc (if i = List.length rows - 1 then "\n" else ",\n"))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run_daemon_scaling ~pool ~fast ~out_dir =
   section "Streaming daemon capacity (end-to-end, constant density)";
@@ -1128,7 +1119,15 @@ let run_daemon_scaling ~pool ~fast ~out_dir =
     cases;
   Fmt.pr "%a@." Metrics.Table.pp table;
   let path = Filename.concat out_dir "daemon.json" in
-  daemon_json_write path (List.rev !rows);
+  write_artifact path ~schema:2
+    ~note:
+      "end-to-end daemon streams at constant density (avg degree ~25.6); \
+       wall_s includes the initial grow and the final verification; \
+       incremental_fraction is the share of working commits served \
+       without a full recompute; peak_rss_kb is the process VmHWM \
+       sampled after the row (monotone across rows); allocations_mb is \
+       Gc.allocated_bytes over the row's run"
+    (List.rev !rows);
   Fmt.pr "wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -1143,28 +1142,8 @@ let run_daemon_scaling ~pool ~fast ~out_dir =
    (sigma) x cone degree (alpha) x deployment density, counting the
    seeded deployments whose G_R^env connectivity CBTC preserves —
    mapping where the threshold degrades.  Writes <out>/shadowing.json
-   (schema 1, validated by test/validate_shadowing.exe in the
+   (schema 1, validated by test/validate_bench.exe shadowing in the
    @bench-smoke alias). *)
-
-let shadowing_json_write path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 1,\n";
-      output_string oc
-        "  \"note\": \"fraction of seeded deployments whose realized \
-         reachability graph G_R^env stays connected under CBTC(alpha), \
-         per (sigma_db, alpha, density) cell; sigma_db = 0 is the \
-         paper's pure disc model, where alpha <= 5pi/6 preserves \
-         connectivity; target_degree is the expected G_R degree of the \
-         sigma = 0 disc model at that density\",\n";
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i row ->
-          output_string oc "    ";
-          output_string oc (Obs.Jsonl.to_string row);
-          output_string oc (if i = List.length rows - 1 then "\n" else ",\n"))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run_shadowing ~pool ~fast ~out_dir =
   section "Shadowing: connectivity threshold under sigma x alpha x density";
@@ -1269,7 +1248,14 @@ let run_shadowing ~pool ~fast ~out_dir =
     sigmas;
   Fmt.pr "%a@." Metrics.Table.pp table;
   let path = Filename.concat out_dir "shadowing.json" in
-  shadowing_json_write path (List.rev !rows);
+  write_artifact path ~schema:1
+    ~note:
+      "fraction of seeded deployments whose realized reachability graph \
+       G_R^env stays connected under CBTC(alpha), per (sigma_db, alpha, \
+       density) cell; sigma_db = 0 is the paper's pure disc model, where \
+       alpha <= 5pi/6 preserves connectivity; target_degree is the \
+       expected G_R degree of the sigma = 0 disc model at that density"
+    (List.rev !rows);
   Fmt.pr "wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -1286,28 +1272,8 @@ let run_shadowing ~pool ~fast ~out_dir =
    discipline can matter.  Trials fan out over the pool and fold back
    in seed order, so lifetime.json is byte-identical at every -j; the
    schema and the scheduled > passive pin for the max-power and CBTC
-   families are enforced by test/validate_lifetime.exe in the
+   families are enforced by test/validate_bench.exe lifetime in the
    @bench-smoke alias. *)
-
-let lifetime_json_write path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 1,\n";
-      output_string oc
-        "  \"note\": \"mean over seeded trials per (family, mode) cell; \
-         lifetime_rounds is the service-rounds scalar (rounds in which \
-         at least half the original non-sink population reaches the \
-         sink); first_death is censored at the simulation horizon; \
-         mode = passive is Gather.run (rotation_period = 0), \
-         mode = scheduled is the cover-set scheduler\",\n";
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i row ->
-          output_string oc "    ";
-          output_string oc (Obs.Jsonl.to_string row);
-          output_string oc (if i = List.length rows - 1 then "\n" else ",\n"))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run_lifetime ~pool ~fast ~out_dir =
   section "Network lifetime: cover-set scheduler vs passive gathering";
@@ -1415,7 +1381,15 @@ let run_lifetime ~pool ~fast ~out_dir =
     Lifetime.Schedule.families;
   Fmt.pr "%a@." Metrics.Table.pp table;
   let path = Filename.concat out_dir "lifetime.json" in
-  lifetime_json_write path (List.rev !rows);
+  write_artifact path ~schema:1
+    ~note:
+      "mean over seeded trials per (family, mode) cell; lifetime_rounds \
+       is the service-rounds scalar (rounds in which at least half the \
+       original non-sink population reaches the sink); first_death is \
+       censored at the simulation horizon; mode = passive is Gather.run \
+       (rotation_period = 0), mode = scheduled is the cover-set \
+       scheduler"
+    (List.rev !rows);
   Fmt.pr "wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -1428,27 +1402,6 @@ let run_lifetime ~pool ~fast ~out_dir =
    bit-identical results (digest over a full-precision rendering).
    Wall-clock speedups only show on multi-core hosts; the determinism
    check is meaningful everywhere.  Writes <out>/parallel.json. *)
-
-let parallel_json_write path ~host_cores rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 1,\n  \"unit\": \"seconds\",\n";
-      output_string oc
-        "  \"note\": \"wall clock per jobs level; speedup_vs_j1 > 1 \
-         requires a multi-core host; identical compares result digests \
-         against the -j 1 run\",\n";
-      output_string oc (Fmt.str "  \"host_cores\": %d,\n" host_cores);
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i (workload, jobs, wall, speedup, identical) ->
-          output_string oc
-            (Fmt.str
-               "    {\"workload\": %S, \"jobs\": %d, \"wall_s\": %.6f, \
-                \"speedup_vs_j1\": %.3f, \"identical\": %b}%s\n"
-               workload jobs wall speedup identical
-               (if i = List.length rows - 1 then "" else ",")))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run_parallel_bench ~fast ~out_dir =
   section "Parallel scaling: domain pool at -j 1/2/4 (determinism checked)";
@@ -1522,7 +1475,16 @@ let run_parallel_bench ~fast ~out_dir =
               let identical = String.equal digest !base_digest in
               if not identical then all_identical := false;
               let speedup = if wall > 0. then !base_time /. wall else 0. in
-              rows := (name, jobs, wall, speedup, identical) :: !rows;
+              rows :=
+                Obs.Jsonl.Obj
+                  [
+                    ("workload", Obs.Jsonl.Str name);
+                    ("jobs", Obs.Jsonl.Int jobs);
+                    ("wall_s", fixed 6 wall);
+                    ("speedup_vs_j1", fixed 3 speedup);
+                    ("identical", Obs.Jsonl.Bool identical);
+                  ]
+                :: !rows;
               Metrics.Table.add_row table
                 [
                   name; string_of_int jobs; Fmt.str "%.3f" wall;
@@ -1536,7 +1498,12 @@ let run_parallel_bench ~fast ~out_dir =
      everywhere)@."
     host_cores;
   let path = Filename.concat out_dir "parallel.json" in
-  parallel_json_write path ~host_cores (List.rev !rows);
+  write_artifact path ~schema:1 ~unit:"seconds"
+    ~header:[ ("host_cores", Obs.Jsonl.Int host_cores) ]
+    ~note:
+      "wall clock per jobs level; speedup_vs_j1 > 1 requires a multi-core \
+       host; identical compares result digests against the -j 1 run"
+    (List.rev !rows);
   Fmt.pr "wrote %s@." path;
   if not !all_identical then begin
     Fmt.epr "parallel: NON-DETERMINISTIC results across jobs levels@.";

@@ -45,10 +45,6 @@ let fold_succ g u ~init ~f =
   check g u;
   Rows.fold g.adj u ~init ~f
 
-let blit_succ g u dst pos =
-  check g u;
-  Rows.blit g.adj u dst pos
-
 let out_degree g u =
   check g u;
   Rows.degree g.adj u

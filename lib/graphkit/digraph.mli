@@ -40,10 +40,6 @@ val fold_succ : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 
 val out_degree : t -> int -> int
 
-(** [blit_succ g u dst pos] copies [u]'s out-neighbors, in increasing id
-    order, into [dst.(pos) .. dst.(pos + out_degree g u - 1)]. *)
-val blit_succ : t -> int -> int array -> int -> unit
-
 (** [edges g] lists all directed edges, lexicographically. *)
 val edges : t -> (int * int) list
 

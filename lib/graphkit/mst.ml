@@ -1,16 +1,14 @@
 let spanning_forest g ~weight =
   let n = Ugraph.nb_nodes g in
-  let csr = Csr.of_ugraph g in
   let in_tree = Array.make n false in
   let edge_acc = ref [] in
   let heap = Fheap.create () in
   for root = 0 to n - 1 do
     if not in_tree.(root) then begin
       in_tree.(root) <- true;
-      (* relax over the flat CSR row — same increasing-id order as the
-         former Ugraph.neighbors list, without allocating it *)
+      (* relax in increasing-id order, without allocating the row *)
       let relax u =
-        Csr.iter_neighbors csr u (fun v ->
+        Ugraph.iter_neighbors g u (fun v ->
             if not in_tree.(v) then Fheap.push heap (weight u v) (u, v))
       in
       relax root;

@@ -82,8 +82,6 @@ let to_list t u =
   done;
   !acc
 
-let blit t u dst pos = Array.blit t.rows.(u) 0 dst pos t.deg.(u)
-
 let copy t =
   { rows = Array.mapi (fun u row -> Array.sub row 0 t.deg.(u)) t.rows;
     deg = Array.copy t.deg }

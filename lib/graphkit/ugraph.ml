@@ -47,10 +47,6 @@ let fold_neighbors g u ~init ~f =
   check g u;
   Rows.fold g.adj u ~init ~f
 
-let blit_neighbors g u dst pos =
-  check g u;
-  Rows.blit g.adj u dst pos
-
 let degree g u =
   check g u;
   Rows.degree g.adj u

@@ -50,10 +50,6 @@ val edges : t -> (int * int) list
 
 val iter_edges : (int -> int -> unit) -> t -> unit
 
-(** [blit_neighbors g u dst pos] copies [u]'s neighbors, in increasing
-    id order, into [dst.(pos) .. dst.(pos + degree g u - 1)]. *)
-val blit_neighbors : t -> int -> int array -> int -> unit
-
 val of_edges : int -> (int * int) list -> t
 
 (** [of_arcs n arcs] is the graph on [n] nodes whose edges are the pairs

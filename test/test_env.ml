@@ -262,23 +262,7 @@ let prop_probe_radius_bounds_support =
       done;
       !ok)
 
-(* ---------- sigma > 0: flat = boxed, and -j independence ---------- *)
-
-let prop_env_run_flat_matches_run =
-  QCheck.Test.make ~count:60
-    ~name:"sigma > 0: Soa.to_discovery (run_flat ~env) = run ~env"
-    (QCheck.make
-       QCheck.Gen.(
-         pair positions_gen growth_gen >>= fun (positions, growth) ->
-         env_gen (Array.length positions) >|= fun env ->
-         (positions, growth, env)))
-    (fun (positions, growth, env) ->
-      let config = Cbtc.Config.make ~growth alpha56 in
-      discovery_eq
-        (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat ~env config pl positions))
-        (Cbtc.Geo.run ~env config pl positions))
-
-(* ---------- sigma > 0: flat kernel = naive reference ---------- *)
+(* ---------- sigma > 0: flat kernel = naive reference, -j ---------- *)
 
 (* Environments with shadowing and at least one obstacle disc, so the
    per-pair link power differs from pathloss for some pairs. *)
@@ -503,7 +487,6 @@ let () =
       ( "sigma > 0 discovery",
         qsuite
           [
-            prop_env_run_flat_matches_run;
             prop_env_run_flat_matches_brute;
             prop_env_grow_into_matches_brute;
             prop_env_pool_identical;

@@ -109,53 +109,13 @@ let test_counters_and_manifest () =
         (Obs.Jsonl.member "n" m = Some (Obs.Jsonl.Int 20))
   | [] -> Alcotest.fail "trace must start with a manifest line"
 
-(* Parse a trace and enforce the schema the docs promise: line 1 is the
-   manifest, [seq] increases from 1, spans balance, and the depth of
-   every event equals the number of currently-open spans. *)
+(* The trace schema the docs promise (Trace_check, shared with
+   validate_bench): manifest first, [seq] from 1, balanced spans, and
+   every depth equal to the number of open spans. *)
 let validate_trace lines =
-  match lines with
-  | [] -> Alcotest.fail "empty trace"
-  | manifest :: events ->
-      let m = Obs.Jsonl.of_string manifest in
-      if Obs.Jsonl.member "ev" m <> Some (Obs.Jsonl.Str "manifest") then
-        Alcotest.fail "first line is not the manifest";
-      let open_spans = ref [] in
-      List.iteri
-        (fun i line ->
-          let e = Obs.Jsonl.of_string line in
-          let str k =
-            match Obs.Jsonl.member k e with
-            | Some (Obs.Jsonl.Str s) -> s
-            | _ -> Alcotest.failf "line %d: missing %s" (i + 2) k
-          in
-          let int k =
-            match Obs.Jsonl.member k e with
-            | Some (Obs.Jsonl.Int n) -> n
-            | _ -> Alcotest.failf "line %d: missing %s" (i + 2) k
-          in
-          if int "seq" <> i + 1 then
-            Alcotest.failf "line %d: seq %d, expected %d" (i + 2) (int "seq")
-              (i + 1);
-          let depth = int "depth" in
-          (match str "ev" with
-          | "span_begin" ->
-              if depth <> List.length !open_spans then
-                Alcotest.failf "line %d: begin depth %d with %d open" (i + 2)
-                  depth
-                  (List.length !open_spans);
-              open_spans := str "name" :: !open_spans
-          | "span_end" -> (
-              match !open_spans with
-              | top :: rest
-                when top = str "name" && depth = List.length rest ->
-                  open_spans := rest
-              | _ -> Alcotest.failf "line %d: unbalanced span_end" (i + 2))
-          | "point" ->
-              if depth <> List.length !open_spans then
-                Alcotest.failf "line %d: point at wrong depth" (i + 2)
-          | ev -> Alcotest.failf "line %d: unknown ev %S" (i + 2) ev))
-        events;
-      if !open_spans <> [] then Alcotest.fail "trace ends with open spans"
+  match Trace_check.check lines with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg
 
 let test_spans_nest_and_validate () =
   let t = Obs.Recorder.create () in
